@@ -5,7 +5,8 @@ across every key round, together with two eavesdropping strategies: a
 naive intercept-resend attack (detectable, zero information gain) and a
 coherent ancilla attack that reads the key without disturbing the channel.
 All quantum amplitudes live in the ring of rational combinations of d-th
-roots of unity, so every check is exact for prime d.
+roots of unity, reduced modulo the d-th cyclotomic polynomial, so every
+check is exact for every dimension d >= 2.
 """
 
 from .adversary import (
@@ -39,6 +40,7 @@ from .protocol import (
     announce_subsequence,
     dump_transcript,
     make_rng,
+    parse_announce,
     run_round,
     run_session,
     transcript_to_json_dict,
@@ -48,10 +50,9 @@ from .register import (
     PureState,
     basis_state,
     bell_state,
-    state_allclose,
     state_equals,
 )
-from .ring import CycloElem, is_prime, rational_value, zeta_pow
+from .ring import CycloElem, rational_value, zeta_pow
 
 __version__ = "0.1.0"
 
@@ -82,16 +83,15 @@ __all__ = [
     "exact_intercept_observation_distribution",
     "exact_next_round_error",
     "infer_keys",
-    "is_prime",
     "make_rng",
     "monte_carlo",
     "observation_sign",
+    "parse_announce",
     "rational_value",
     "report_to_csv",
     "report_to_json",
     "run_round",
     "run_session",
-    "state_allclose",
     "state_equals",
     "transcript_to_json_dict",
     "zeta_pow",

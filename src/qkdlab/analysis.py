@@ -24,7 +24,6 @@ from .register import (
     basis_state,
     bell_state,
 )
-from .ring import is_prime
 
 #: enumeration guardrails: beyond this, exact branch counting is impractical
 MAX_EXACT_DIM = 7
@@ -81,8 +80,6 @@ def compute_metrics(session: SessionTranscript, true_key) -> SessionMetrics:
 
 
 def _check_enumeration_bounds(dim: int, rounds: int) -> None:
-    if not is_prime(dim):
-        raise ValueError("exact enumeration requires a prime dimension")
     if dim > MAX_EXACT_DIM:
         raise ValueError(f"exact enumeration supports dimensions up to {MAX_EXACT_DIM}")
     if rounds > MAX_EXACT_ROUNDS:
@@ -220,33 +217,23 @@ def report_to_json(reports) -> str:
     return json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
 
 
-def _resolve_announce(spec, num_rounds: int) -> list[int]:
-    if spec is None or spec == "none":
-        return []
-    if spec == "odd":
-        return list(range(1, num_rounds + 1, 2))
-    if spec == "even":
-        return list(range(2, num_rounds + 1, 2))
-    return [int(i) for i in spec]
-
-
 def monte_carlo(
     config: ProtocolConfig,
     strategy: AdversaryStrategy | None,
     trials: int,
     seed: int,
-    announce=None,
+    announce=(),
 ) -> ExperimentReport:
     """Aggregate metrics over independent seeded sessions with random keys.
 
     Each trial draws its own key and RNG stream from the experiment seed,
-    so reports are reproducible bit for bit.
+    so reports are reproducible bit for bit.  announce lists the round
+    indices revealed in every trial (see protocol.parse_announce).
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     template = strategy if strategy is not None else AdversaryStrategy()
     n = config.num_rounds
-    announce_indices = _resolve_announce(announce, n)
     qber_total = Fraction(0)
     round_err_totals = [0] * n
     detections = 0
@@ -256,16 +243,10 @@ def monte_carlo(
         trial_rng = make_rng(seed, stream=trial + 1)
         key = tuple(int(x) for x in trial_rng.integers(0, config.dim, n))
         session_seed = int(trial_rng.integers(0, 2**63))
-        cfg = ProtocolConfig(
-            dim=config.dim,
-            num_rounds=n,
-            key=key,
-            arithmetic_mode=config.arithmetic_mode,
-            rng_seed=session_seed,
-        )
+        cfg = ProtocolConfig(dim=config.dim, num_rounds=n, key=key, rng_seed=session_seed)
         session = run_session(cfg, template.clone())
-        if announce_indices:
-            announce_subsequence(session, announce_indices)
+        if announce:
+            announce_subsequence(session, announce)
         metrics = compute_metrics(session, key)
         qber_total += metrics.qber_overall
         if metrics.qber_overall:

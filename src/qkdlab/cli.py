@@ -20,6 +20,8 @@ import sys
 
 from .adversary import GaoAttack, InterceptResend
 from .analysis import (
+    MAX_EXACT_DIM,
+    MAX_EXACT_ROUNDS,
     compute_metrics,
     exact_next_round_error,
     monte_carlo,
@@ -32,10 +34,10 @@ from .protocol import (
     announce_subsequence,
     dump_transcript,
     make_rng,
+    parse_announce,
     run_session,
 )
-from .register import state_allclose, state_equals
-from .ring import is_prime
+from .register import state_equals
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -69,12 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     key_group = common.add_mutually_exclusive_group()
     key_group.add_argument("--key", type=_dit_list, help="comma-separated key dits")
     key_group.add_argument("--key-seed", type=int, help="derive a random key from this seed")
-    common.add_argument(
-        "--mode",
-        choices=("exact", "float"),
-        default="exact",
-        help="exact requires a prime dimension; float tolerates 1e-12 per amplitude",
-    )
     common.add_argument(
         "--seed",
         type=int,
@@ -165,43 +161,35 @@ def _make_config(args, parser, rounds=None) -> ProtocolConfig:
     rounds = rounds if rounds is not None else args.rounds
     key = _resolve_key(args, parser, seed, rounds)
     try:
-        return ProtocolConfig(
-            dim=args.d,
-            num_rounds=rounds,
-            key=key,
-            arithmetic_mode=args.mode,
-            rng_seed=seed,
-        )
+        return ProtocolConfig(dim=args.d, num_rounds=rounds, key=key, rng_seed=seed)
     except ValueError as exc:
         parser.error(str(exc))
 
 
-def _make_adversary(args):
+def _make_adversary(args, parser, num_rounds: int):
     if args.attack == "none":
         return None
     if args.attack == "intercept":
-        rounds = None if args.intercept_rounds is None else set(args.intercept_rounds)
+        rounds = args.intercept_rounds
+        if rounds is None:
+            return InterceptResend()
+        if not rounds or not all(1 <= index <= num_rounds for index in rounds):
+            parser.error(f"--intercept-rounds must name rounds in 1..{num_rounds}, got {rounds}")
         return InterceptResend(rounds)
     return GaoAttack()
 
 
-def _parse_announce(spec: str, num_rounds: int, parser) -> list[int]:
-    if spec == "none":
-        return []
-    if spec == "odd":
-        return list(range(1, num_rounds + 1, 2))
-    if spec == "even":
-        return list(range(2, num_rounds + 1, 2))
+def _parse_announce(args, parser, num_rounds: int) -> list[int]:
     try:
-        return [int(part) for part in spec.split(",") if part.strip() != ""]
-    except ValueError:
-        parser.error(f'--announce must be "none", "odd", "even", or a comma list, got {spec!r}')
+        return parse_announce(args.announce, num_rounds)
+    except ValueError as exc:
+        parser.error(f"--announce: {exc}")
 
 
 def cmd_run(args, parser) -> int:
     config = _make_config(args, parser)
-    adversary = _make_adversary(args)
-    announce = _parse_announce(args.announce, config.num_rounds, parser)
+    adversary = _make_adversary(args, parser, config.num_rounds)
+    announce = _parse_announce(args, parser, config.num_rounds)
     session = run_session(config, adversary)
     if announce:
         announce_subsequence(session, announce)
@@ -210,7 +198,7 @@ def cmd_run(args, parser) -> int:
         dump_transcript(session, args.trace)
     print(
         f"dim={config.dim} rounds={config.num_rounds} attack={session.adversary_kind} "
-        f"mode={config.arithmetic_mode} seed={config.rng_seed}"
+        f"seed={config.rng_seed}"
     )
     print("key          =", ",".join(map(str, config.key)))
     print("bob outcomes =", ",".join(map(str, session.bob_outcomes)))
@@ -257,12 +245,7 @@ def cmd_verify_paper(args, parser) -> int:
     failures = []
     for label, want in expected.items():
         got = simulated.get(label)
-        if got is None:
-            ok = False
-        elif config.arithmetic_mode == "exact":
-            ok = state_equals(got, want)
-        else:
-            ok = state_allclose(got, want)
+        ok = got is not None and state_equals(got, want)
         print(f"{label:<10} {'ok' if ok else 'FAIL'}")
         if not ok:
             failures.append((label, got, want))
@@ -279,16 +262,22 @@ def cmd_verify_paper(args, parser) -> int:
 
 
 def cmd_experiment(args, parser) -> int:
+    if args.trials < 1:
+        parser.error(f"--trials must be positive, got {args.trials}")
     config = _make_config(args, parser)
-    adversary = _make_adversary(args)
-    seed = _resolve_seed(args)
-    announce = args.announce if args.announce != "none" else None
-    report = monte_carlo(config, adversary, args.trials, seed, announce=announce)
+    adversary = _make_adversary(args, parser, config.num_rounds)
+    announce = _parse_announce(args, parser, config.num_rounds)
+    report = monte_carlo(config, adversary, args.trials, config.rng_seed, announce=announce)
     if args.attack == "intercept":
         attack_round = (
             min(args.intercept_rounds) if args.intercept_rounds else 1
         )
-        if attack_round < config.num_rounds and is_prime(config.dim):
+        # the exact add-on enumerates rounds 1..attack_round+1
+        if (
+            attack_round < config.num_rounds
+            and config.dim <= MAX_EXACT_DIM
+            and attack_round + 1 <= MAX_EXACT_ROUNDS
+        ):
             exact = exact_next_round_error(config.dim, attack_round)
             p = float(exact)
             report = dataclasses.replace(

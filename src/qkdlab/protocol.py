@@ -33,7 +33,6 @@ from .register import (
     basis_state,
     bell_state,
 )
-from .ring import is_prime
 
 SCHEMA_VERSION = "v1"
 
@@ -56,7 +55,6 @@ class ProtocolConfig:
     dim: int
     num_rounds: int
     key: tuple[int, ...]
-    arithmetic_mode: str = "exact"
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -71,10 +69,6 @@ class ProtocolConfig:
             )
         if any(not 0 <= q < self.dim for q in self.key):
             raise ValueError(f"key dits must lie in [0, {self.dim}), got {self.key}")
-        if self.arithmetic_mode not in ("exact", "float"):
-            raise ValueError(f"unknown arithmetic_mode {self.arithmetic_mode!r}")
-        if self.arithmetic_mode == "exact" and not is_prime(self.dim):
-            raise ValueError("exact mode requires a prime dimension")
 
 
 @dataclass(frozen=True)
@@ -198,6 +192,30 @@ def run_session(
     )
 
 
+def parse_announce(spec: str, num_rounds: int) -> list[int]:
+    """The 1-based round indices an announcement policy names.
+
+    spec is "none", "odd", "even" or a comma list of indices; raises
+    ValueError for any other text and for an index outside 1..num_rounds.
+    """
+    if spec == "none":
+        return []
+    if spec == "odd":
+        return list(range(1, num_rounds + 1, 2))
+    if spec == "even":
+        return list(range(2, num_rounds + 1, 2))
+    try:
+        indices = [int(part) for part in spec.split(",")]
+    except ValueError:
+        raise ValueError(
+            f'announce must be "none", "odd", "even" or a comma list, got {spec!r}'
+        ) from None
+    for index in indices:
+        if not 1 <= index <= num_rounds:
+            raise ValueError(f"announce index {index} outside rounds 1..{num_rounds}")
+    return indices
+
+
 def announce_subsequence(session: SessionTranscript, indices) -> list[tuple[int, int]]:
     """Publicly reveal Alice's dits at the given 1-based round indices.
 
@@ -246,7 +264,6 @@ def transcript_to_json_dict(session: SessionTranscript) -> dict:
             "dim": cfg.dim,
             "num_rounds": cfg.num_rounds,
             "key": list(cfg.key),
-            "arithmetic_mode": cfg.arithmetic_mode,
             "rng_seed": cfg.rng_seed,
         },
         "adversary": {

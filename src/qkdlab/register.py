@@ -15,9 +15,9 @@ and the eavesdropper's ancilla.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import sqrt
 
-from .ring import FLOAT_ZERO_TOL, CycloElem, rational_value
+from .ring import CycloElem, rational_value, sqrt_rational
 
 Wire = str
 BasisTuple = tuple[int, ...]
@@ -31,17 +31,6 @@ ANCILLA_WIRE: Wire = "e"
 WIRE_DISPLAY_ORDER: tuple[Wire, ...] = (ALICE_WIRE, BOB_WIRE, TRANSIT_WIRE, ANCILLA_WIRE)
 
 _ONE = Fraction(1)
-
-
-def _fraction_sqrt(value: Fraction) -> Fraction | None:
-    """Exact square root of a non-negative rational, or None if irrational."""
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
 
 
 class PureState:
@@ -86,8 +75,9 @@ class PureState:
                 raise TypeError(f"amplitude must be CycloElem, got {type(amp).__name__}")
             if amp.dim != dim:
                 raise ValueError(f"amplitude dimension {amp.dim} does not match state dimension {dim}")
-            if not amp.is_zero():
-                clean[basis] = amp.canonical_reduce()
+            amp = amp.canonical_reduce()
+            if any(amp.coeffs):
+                clean[basis] = amp
         self.dim = dim
         self.wires = wires
         self.scale_exp = scale_exp
@@ -433,14 +423,12 @@ def basis_state(dim: int, wire_values) -> PureState:
 # -- comparison ----------------------------------------------------------------
 
 
-def state_equals(a: PureState, b: PureState, mode: str = "exact") -> bool:
-    """Decide state equality.
+def state_equals(a: PureState, b: PureState) -> bool:
+    """Decide exactly whether two states are the same vector.
 
-    mode="exact" compares term maps after aligning the global factors;
-    when the factor ratio is not a rational square the comparison falls
-    back to term-wise squared magnitudes.  mode="up_to_global_phase"
-    compares complex amplitudes after dividing out the first nonzero
-    amplitude ratio.
+    The global factors are aligned by writing their ratio as a ring
+    element; when the field holds no such element, only two zero states
+    can be equal.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
@@ -448,45 +436,9 @@ def state_equals(a: PureState, b: PureState, mode: str = "exact") -> bool:
         raise ValueError(f"wire sets differ: {a.wires} vs {b.wires}")
     a = a.sorted_wires()
     b = b.sorted_wires()
-    if mode == "up_to_global_phase":
-        return _phase_equal(a, b)
-    if mode != "exact":
-        raise ValueError(f"unknown comparison mode {mode!r}")
-    keys = a.terms.keys() | b.terms.keys()
     ratio_sq = (b.scale_sq / a.scale_sq) * Fraction(a.dim) ** (a.scale_exp - b.scale_exp)
-    ratio = _fraction_sqrt(ratio_sq)
-    if ratio is not None:
-        return all((a.amplitude(k) - b.amplitude(k) * ratio).is_zero() for k in keys)
-    wa = a.scale_sq * Fraction(a.dim) ** b.scale_exp
-    wb = b.scale_sq * Fraction(a.dim) ** a.scale_exp
-    for k in keys:
-        ma, mb = a.amplitude(k), b.amplitude(k)
-        if not ((ma * ma.conj()) * wa - (mb * mb.conj()) * wb).is_zero():
-            return False
-    return True
-
-
-def _phase_equal(a: PureState, b: PureState, tol: float = FLOAT_ZERO_TOL) -> bool:
-    keys = sorted(a.terms.keys() | b.terms.keys())
-    amps_a = [a.complex_amplitude(k) for k in keys]
-    amps_b = [b.complex_amplitude(k) for k in keys]
-    ratio = None
-    for va, vb in zip(amps_a, amps_b):
-        if abs(va) > tol:
-            ratio = vb / va
-            break
+    ratio = sqrt_rational(a.dim, ratio_sq)
     if ratio is None:
-        return all(abs(vb) <= tol for vb in amps_b)
-    if abs(abs(ratio) - 1) > tol:
-        return False
-    return all(abs(vb - ratio * va) <= tol for va, vb in zip(amps_a, amps_b))
-
-
-def state_allclose(a: PureState, b: PureState, tol: float = FLOAT_ZERO_TOL) -> bool:
-    """Floating-point comparison of complex amplitudes, term by term."""
-    if a.dim != b.dim or set(a.wires) != set(b.wires):
-        return False
-    a = a.sorted_wires()
-    b = b.sorted_wires()
+        return not a.terms and not b.terms
     keys = a.terms.keys() | b.terms.keys()
-    return all(abs(a.complex_amplitude(k) - b.complex_amplitude(k)) <= tol for k in keys)
+    return all((a.amplitude(k) - b.amplitude(k) * ratio).is_zero() for k in keys)

@@ -2,32 +2,24 @@
 
 An element is a length-d vector of rational coefficients, index t holding
 the coefficient of zeta**t where zeta = exp(2*pi*i/d).  Products are
-reduced with zeta**d == 1.  For prime d the vanishing sum
-1 + zeta + ... + zeta**(d-1) == 0 gives a canonical form (last coefficient
-zero) and therefore decidable exact equality; for composite d the vector
-is kept as-is and zero tests fall back to a floating-point oracle.
+reduced with zeta**d == 1.  The minimal polynomial of zeta is the d-th
+cyclotomic polynomial Phi_d, of degree phi(d) (Euler's totient), so the
+remainder modulo Phi_d is a canonical form for every d: coefficients
+from index phi(d) up are zero, and two elements are equal exactly when
+their remainders are.  At prime d, Phi_d = 1 + x + ... + x**(d-1) and the
+remainder is the vector with its last coefficient folded away.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
-import warnings
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 Rational = Fraction
 
 Coeff = int | Fraction
-
-FLOAT_ZERO_TOL = 1e-12
-
-
-@lru_cache(maxsize=None)
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % p for p in range(2, math.isqrt(n) + 1))
 
 
 def _as_coeff(value: object) -> Coeff:
@@ -56,6 +48,47 @@ def _norm_coeff(value: Coeff) -> Coeff:
 @lru_cache(maxsize=None)
 def _unit_roots(dim: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * cmath.pi * t / dim) for t in range(dim))
+
+
+def _divide(poly: list, divisor: tuple[int, ...]) -> list:
+    """Divide poly by a monic divisor in place and return the quotient.
+
+    Coefficients run lowest degree first; poly is left holding the
+    remainder, with zeros from index len(divisor) - 1 up.
+    """
+    deg = len(divisor) - 1
+    quotient = [0] * (len(poly) - deg)
+    for i in range(len(quotient) - 1, -1, -1):
+        c = quotient[i] = poly[i + deg]
+        if c:
+            poly[i:i + deg + 1] = [
+                a - c * b if b else a for a, b in zip(poly[i:i + deg + 1], divisor)
+            ]
+    return quotient
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_n, lowest degree first.
+
+    x**n - 1 is the product of Phi_k over the divisors k of n, so Phi_n is
+    x**n - 1 divided by Phi_k for every proper divisor k.
+    """
+    if n < 1:
+        raise ValueError(f"order must be positive, got {n}")
+    poly = [-1] + [0] * (n - 1) + [1]
+    for k in range(1, n):
+        if n % k == 0:
+            poly = _divide(poly, cyclotomic_polynomial(k))
+    return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def _modulus(dim: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """Phi_dim, its degree phi(dim), and the zero tail of a reduced element."""
+    divisor = cyclotomic_polynomial(dim)
+    phi = len(divisor) - 1
+    return divisor, phi, (0,) * (dim - phi)
 
 
 class CycloElem:
@@ -98,21 +131,17 @@ class CycloElem:
 
     @property
     def is_canonical(self) -> bool:
-        return is_prime(self.dim) and not self.coeffs[-1]
+        _, phi, zeros = _modulus(self.dim)
+        return self.coeffs[phi:] == zeros
 
     def canonical_reduce(self) -> CycloElem:
-        """Rewrite with a zero top coefficient when the dimension is prime.
-
-        Composite dimensions are returned unchanged (self.is_canonical stays
-        False); exact zero/equality tests are then undecidable here and go
-        through the floating-point oracle instead.
-        """
-        if not is_prime(self.dim):
+        """The remainder modulo Phi_d: zero coefficients from index phi(d) up."""
+        divisor, phi, zeros = _modulus(self.dim)
+        if self.coeffs[phi:] == zeros:
             return self
-        last = self.coeffs[-1]
-        if not last:
-            return self
-        return CycloElem._raw(self.dim, tuple(_norm_coeff(c - last) for c in self.coeffs))
+        acc = list(self.coeffs)
+        _divide(acc, divisor)
+        return CycloElem._raw(self.dim, tuple(map(_norm_coeff, acc)))
 
     def _coerce(self, other: object) -> CycloElem | None:
         if isinstance(other, CycloElem):
@@ -188,16 +217,7 @@ class CycloElem:
         return CycloElem._raw(dim, tuple(out)).canonical_reduce()
 
     def is_zero(self) -> bool:
-        """Exact zero test for prime dimension, float oracle otherwise."""
-        if is_prime(self.dim):
-            return not any(self.canonical_reduce().coeffs)
-        if not any(self.coeffs):
-            return True
-        warnings.warn(
-            "zero test at composite dimension uses a floating-point oracle",
-            stacklevel=2,
-        )
-        return abs(self.to_complex()) < FLOAT_ZERO_TOL
+        return not any(self.canonical_reduce().coeffs)
 
     def to_complex(self) -> complex:
         roots = _unit_roots(self.dim)
@@ -209,9 +229,7 @@ class CycloElem:
         if not isinstance(other, (CycloElem, int, Fraction)):
             return NotImplemented
         rhs = self._coerce(other)
-        if is_prime(self.dim):
-            return self.canonical_reduce().coeffs == rhs.canonical_reduce().coeffs
-        return self.coeffs == rhs.coeffs
+        return self.canonical_reduce().coeffs == rhs.canonical_reduce().coeffs
 
     __hash__ = None
 
@@ -256,24 +274,60 @@ def zeta_pow(dim: int, exponent: int) -> CycloElem:
 def rational_value(elem: CycloElem) -> Fraction:
     """Extract the value of an element known to be rational.
 
-    Exact for prime dimension.  For composite dimension the value is
-    recovered through the floating-point oracle and a best-rational
-    snap, with a warning; raises ValueError when the element is not
-    rational to within the oracle tolerance.
+    Raises ValueError when the element is not rational.
     """
     reduced = elem.canonical_reduce()
-    if is_prime(elem.dim):
-        if any(reduced.coeffs[1:]):
-            raise ValueError(f"element is not rational: {elem!r}")
-        return Fraction(reduced.coeffs[0])
-    z = elem.to_complex()
-    if abs(z.imag) > FLOAT_ZERO_TOL:
+    if any(reduced.coeffs[1:]):
         raise ValueError(f"element is not rational: {elem!r}")
-    candidate = Fraction(z.real).limit_denominator(10**9)
-    if abs(float(candidate) - z.real) > FLOAT_ZERO_TOL:
-        raise ValueError(f"element is not rational: {elem!r}")
-    warnings.warn(
-        "rational extraction at composite dimension uses a floating-point oracle",
-        stacklevel=2,
-    )
-    return candidate
+    return Fraction(reduced.coeffs[0])
+
+
+def sqrt_rational(dim: int, value) -> CycloElem | None:
+    """The positive square root of a positive rational as a ring element.
+
+    Returns None when the field Q(zeta) does not contain it.  Writing
+    value = s**2 * n with n squarefree, sqrt(n) lies in Q(zeta) only when
+    every odd prime of n divides d, 8 divides d if 2 divides n, and 4
+    divides d if n = 3 mod 4.  It is built from sqrt(2) = zeta_8 +
+    zeta_8**-1 and the quadratic Gauss sums g_p = sum_a (a/p) zeta_p**a,
+    which equal sqrt(p) for p = 1 mod 4 and i*sqrt(p) for p = 3 mod 4.
+    """
+    value = Fraction(value)
+    if value <= 0:
+        raise ValueError(f"value must be positive, got {value}")
+    rest = value.numerator * value.denominator
+    scale = Fraction(1, value.denominator)
+    squarefree = []  # the primes of d in n
+    for p in range(2, dim + 1):
+        if dim % p:
+            continue
+        exp = 0  # stays 0 for composite p, whose primes are already divided out
+        while rest % p == 0:
+            rest //= p
+            exp += 1
+        scale *= p ** (exp // 2)
+        if exp % 2:
+            squarefree.append(p)
+    root_rest = isqrt(rest)
+    if root_rest * root_rest != rest:
+        return None
+    root = CycloElem.from_rational(dim, scale * root_rest)
+    i_power = 0
+    for p in squarefree:
+        if p == 2:
+            if dim % 8:
+                return None
+            root = root * (zeta_pow(dim, dim // 8) + zeta_pow(dim, -(dim // 8)))
+            continue
+        gauss = CycloElem.zero(dim)
+        for a in range(1, p):
+            term = zeta_pow(dim, a * (dim // p))
+            gauss = gauss + term if pow(a, (p - 1) // 2, p) == 1 else gauss - term
+        root = root * gauss
+        i_power += p % 4 == 3
+    if i_power % 2 == 0:
+        return -root if i_power % 4 else root
+    if dim % 4:
+        return None
+    return root.mul_zeta(-i_power * (dim // 4))
+

@@ -34,7 +34,6 @@ from qkdlab.register import (
     TRANSIT_WIRE,
     DensityMatrixSlice,
     bell_state,
-    state_allclose,
     state_equals,
 )
 from qkdlab.ring import CycloElem, zeta_pow
@@ -46,11 +45,17 @@ FIVE_ROUND_KEYS = {
     2: [(1, 1, 0, 1, 0), (0, 1, 1, 0, 1), (1, 0, 0, 1, 1)],
     3: [(1, 0, 2, 1, 2), (2, 2, 1, 0, 1), (0, 1, 2, 2, 0)],
     5: [(4, 1, 3, 0, 2), (1, 2, 3, 4, 0), (3, 3, 0, 2, 4)],
+    4: [(3, 1, 0, 2, 1), (0, 3, 3, 1, 2)],
+    6: [(5, 2, 0, 3, 4), (1, 4, 5, 0, 2)],
+    8: [(7, 3, 0, 5, 2)],
 }
 
+#: composite dimensions the exact checks also cover
+COMPOSITE = (4, 6, 8)
 
-def gao_session(dim, key, mode="exact", seed=0):
-    config = ProtocolConfig(dim, len(key), key, arithmetic_mode=mode, rng_seed=seed)
+
+def gao_session(dim, key, seed=0):
+    config = ProtocolConfig(dim, len(key), key, rng_seed=seed)
     return run_session(config, GaoAttack())
 
 
@@ -69,24 +74,17 @@ def random_key(dim, rounds, seed, stream):
 @pytest.mark.criterion(1, "stage-trace fidelity")
 def test_every_eavesdropping_stage_matches_closed_form():
     """All 32 staged states of a 5-round attacked session equal their
-    closed forms: exactly in exact mode, within 1e-12 in float mode."""
+    closed forms exactly, at prime and composite dimensions."""
     start = time.perf_counter()
     for dim, keys in FIVE_ROUND_KEYS.items():
         for key in keys:
             expected = eavesdrop_stage_states(dim, key)
             assert len(expected) == 32
 
-            exact = session_stage_map(gao_session(dim, key, "exact"))
+            exact = session_stage_map(gao_session(dim, key))
             assert set(exact) == set(expected)
             for label, want in expected.items():
                 assert state_equals(exact[label], want), f"d={dim} {key} {label}"
-
-            floaty = session_stage_map(gao_session(dim, key, "float"))
-            assert set(floaty) == set(expected)
-            for label, want in expected.items():
-                assert state_allclose(floaty[label], want, tol=1e-12), (
-                    f"d={dim} {key} {label} (float)"
-                )
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"stage-trace check took {elapsed:.2f}s (budget 5s)"
 
@@ -112,7 +110,7 @@ def test_attacked_sessions_reproduce_key_exactly():
 def test_recorded_values_follow_alternating_sign_law():
     """At odd rounds 3,5,7,9 the attacker's recorded value is the round's
     dit plus/minus the first dit, with signs +,-,+,-."""
-    for dim in (2, 3, 5):
+    for dim in (2, 3, 5) + COMPOSITE:
         for stream in (1, 2, 3):
             key = random_key(dim, 9, seed=7, stream=10 * dim + stream)
             session = gao_session(dim, key)
@@ -129,7 +127,7 @@ def test_shared_state_recurs_every_four_rounds():
     """The post-round shared state of an attacked session is periodic with
     period 4: state after round 5 equals state after round 1, and after
     round 9 equals after round 5 — exactly."""
-    for dim in (2, 3, 5):
+    for dim in (2, 3, 5) + COMPOSITE:
         key = random_key(dim, 9, seed=21, stream=dim)
         session = gao_session(dim, key)
         after = {
@@ -187,7 +185,7 @@ def test_intercept_error_rate_exact_and_sampled():
     with probability exactly (d-1)/d; a 10^4-trial simulation agrees
     within 3 sigma."""
     start = time.perf_counter()
-    for dim in (2, 3, 5):
+    for dim in (2, 3, 5, 4, 6):
         for attack_round in (1, 2):
             assert exact_next_round_error(dim, attack_round) == Fraction(dim - 1, dim)
     # key-independence spot check at round 2

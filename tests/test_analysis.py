@@ -15,7 +15,7 @@ from qkdlab.analysis import (
     report_to_csv,
     report_to_json,
 )
-from qkdlab.protocol import ProtocolConfig, announce_subsequence, run_session
+from qkdlab.protocol import ProtocolConfig, announce_subsequence, parse_announce, run_session
 
 
 def session_for(dim, key, adversary=None, seed=0):
@@ -99,8 +99,7 @@ class TestExactNextRoundError:
             assert exact_next_round_error(3, 2, key=key) == Fraction(2, 3)
 
     def test_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            exact_next_round_error(4, 1)
+        assert exact_next_round_error(4, 1) == Fraction(3, 4)
         with pytest.raises(ValueError):
             exact_next_round_error(11, 1)
         with pytest.raises(ValueError):
@@ -166,7 +165,7 @@ class TestMonteCarlo:
 
     def test_announce_policy_odd(self):
         config = ProtocolConfig(dim=3, num_rounds=4, key=(0,) * 4, rng_seed=0)
-        report = monte_carlo(config, GaoAttack(), 10, seed=10, announce="odd")
+        report = monte_carlo(config, GaoAttack(), 10, seed=10, announce=parse_announce("odd", 4))
         assert report.mean_eve_known_fraction == pytest.approx(2 / 4)
 
     def test_trials_must_be_positive(self):

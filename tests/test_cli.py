@@ -16,7 +16,7 @@ class TestRun:
     def test_gao_paper_key(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--d", "3", "--rounds", "5",
-            "--key", "1,0,2,1,2", "--attack", "gao", "--mode", "exact",
+            "--key", "1,0,2,1,2", "--attack", "gao",
         )
         assert code == 0
         assert "qber         = 0" in out
@@ -27,10 +27,27 @@ class TestRun:
         assert code == 0
         assert "qber         = 0" in out
 
-    def test_composite_dim_exact_is_usage_error(self, capsys):
+    def test_composite_dim_runs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--d", "4", "--rounds", "5", "--key", "1,2,3,0,1",
+            "--attack", "gao", "--announce", "3",
+        )
+        assert code == 0
+        assert "bob outcomes = 1,2,3,0,1" in out
+        assert "qber         = 0" in out
+
+    def test_announce_index_zero_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
-            cli.main(["run", "--d", "4", "--rounds", "3", "--key", "1,2,3"])
+            cli.main(["run", "--d", "3", "--rounds", "3", "--announce", "0"])
         assert info.value.code == 64
+        assert "outside rounds 1..3" in capsys.readouterr().err
+
+    def test_intercept_round_out_of_range_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["run", "--d", "3", "--rounds", "3", "--attack", "intercept",
+                      "--intercept-rounds", "99"])
+        assert info.value.code == 64
+        assert "--intercept-rounds" in capsys.readouterr().err
 
     def test_key_length_mismatch_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
@@ -108,11 +125,15 @@ class TestVerifyPaper:
         assert code == 0
         assert "all 32 stage checks passed" in out
 
-    def test_float_mode_passes(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify-paper", "--d", "3", "--key", "1,0,2,1,2", "--mode", "float"
-        )
+    def test_composite_dim_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-paper", "--d", "6", "--key", "5,2,0,3,4")
         assert code == 0
+        assert "all 32 stage checks passed" in out
+
+    def test_mode_flag_is_usage_error(self):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify-paper", "--d", "3", "--key", "1,0,2,1,2", "--mode", "float"])
+        assert info.value.code == 64
 
     def test_mismatch_exits_3(self, capsys, monkeypatch):
         import qkdlab.closed_forms as cf
@@ -148,6 +169,61 @@ class TestExperiment:
         row = json.loads(out)[0]
         assert row["exact_next_round_error"] == "2/3"
         assert abs(row["mc_next_round_error"] - 2 / 3) < row["mc_next_round_sigma3"]
+
+    def test_composite_dim_reports_exact_error(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "experiment", "--d", "4", "--rounds", "2", "--attack", "intercept",
+            "--trials", "40", "--seed", "3",
+        )
+        assert code == 0
+        assert json.loads(out)[0]["exact_next_round_error"] == "3/4"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--d", "11", "--rounds", "2"),
+            ("--d", "3", "--rounds", "8", "--intercept-rounds", "6"),
+        ],
+    )
+    def test_exact_fields_null_outside_enumeration_bounds(self, capsys, argv):
+        code, out, _ = run_cli(
+            capsys, "experiment", *argv, "--attack", "intercept", "--trials", "4",
+        )
+        assert code == 0
+        row = json.loads(out)[0]
+        assert row["exact_next_round_error"] is None
+        assert row["mc_next_round_error"] is None
+        assert row["mc_next_round_sigma3"] is None
+
+    def test_announce_single_index_is_not_split(self, capsys, monkeypatch):
+        seen = []
+        real = cli.monte_carlo
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["announce"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "monte_carlo", spy)
+        code, _, _ = run_cli(
+            capsys, "experiment", "--d", "2", "--rounds", "13", "--attack", "gao",
+            "--trials", "2", "--announce", "13",
+        )
+        assert code == 0
+        assert seen == [[13]]
+
+    def test_announce_comma_list(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "experiment", "--d", "3", "--rounds", "5", "--attack", "gao",
+            "--trials", "5", "--announce", "3,5",
+        )
+        assert code == 0
+        # q1 is resolved, so q1, q3 and q5 are known
+        assert json.loads(out)[0]["mean_eve_known_fraction"] == 3 / 5
+
+    def test_zero_trials_is_usage_error(self):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["experiment", "--trials", "0"])
+        assert info.value.code == 64
 
     def test_gao_all_trials_zero(self, capsys):
         code, out, _ = run_cli(

@@ -12,6 +12,7 @@ from qkdlab.protocol import (
     announce_subsequence,
     dump_transcript,
     make_rng,
+    parse_announce,
     run_round,
     run_session,
     transcript_to_json_dict,
@@ -36,14 +37,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProtocolConfig(dim=3, num_rounds=1, key=(-1,))
 
-    def test_exact_mode_requires_prime(self):
-        with pytest.raises(ValueError):
-            ProtocolConfig(dim=4, num_rounds=1, key=(1,))
-        ProtocolConfig(dim=4, num_rounds=1, key=(1,), arithmetic_mode="float")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ProtocolConfig(dim=3, num_rounds=1, key=(1,), arithmetic_mode="symbolic")
+    def test_composite_dim_accepted(self):
+        assert ProtocolConfig(dim=4, num_rounds=1, key=(3,)).dim == 4
 
     def test_rounds_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -86,7 +81,7 @@ class TestHonestRound:
 
 
 class TestHonestSession:
-    @pytest.mark.parametrize("dim", (2, 3, 5, 7))
+    @pytest.mark.parametrize("dim", (2, 3, 4, 5, 6, 7))
     def test_exhaustive_short_keys(self, dim):
         rounds = 3 if dim <= 3 else 2
         for key in itertools.product(range(dim), repeat=rounds):
@@ -95,7 +90,7 @@ class TestHonestSession:
             assert session.bob_outcomes == key
             assert state_equals(session.final_shared_state, bell_state(dim))
 
-    @pytest.mark.parametrize("dim", (2, 3, 5, 7))
+    @pytest.mark.parametrize("dim", (2, 3, 4, 5, 6, 7))
     def test_random_long_keys(self, dim):
         rng = make_rng(77, stream=dim)
         for _ in range(3):
@@ -219,6 +214,18 @@ class TestAnnounce:
         with pytest.raises(ValueError):
             announce_subsequence(session, [0])
 
+    def test_parse_policies(self):
+        assert parse_announce("none", 5) == []
+        assert parse_announce("odd", 5) == [1, 3, 5]
+        assert parse_announce("even", 5) == [2, 4]
+        assert parse_announce("13", 13) == [13]
+        assert parse_announce("3,5", 5) == [3, 5]
+
+    @pytest.mark.parametrize("spec", ["0", "6", "3,6", "x", "3,,5", "", "odd,3"])
+    def test_parse_rejects_malformed_or_out_of_range(self, spec):
+        with pytest.raises(ValueError):
+            parse_announce(spec, 5)
+
     def test_honest_and_gao_never_mismatch(self):
         for adversary in (None, GaoAttack()):
             config = ProtocolConfig(dim=3, num_rounds=5, key=(1, 0, 2, 1, 2), rng_seed=0)
@@ -242,7 +249,6 @@ class TestTranscriptJson:
             "dim": 3,
             "num_rounds": 2,
             "key": [1, 2],
-            "arithmetic_mode": "exact",
             "rng_seed": 9,
         }
         assert doc["adversary"] == {"kind": "gao", "attack_rounds": None}

@@ -1,13 +1,21 @@
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdlab.ring import CycloElem, is_prime, rational_value, zeta_pow
+from qkdlab.ring import (
+    CycloElem,
+    cyclotomic_polynomial,
+    rational_value,
+    sqrt_rational,
+    zeta_pow,
+)
 
 PRIMES = (2, 3, 5, 7)
+DIMS = PRIMES + (4, 6, 8, 9, 12)
 
 
 def cyclo(dim, *coeffs):
@@ -15,7 +23,7 @@ def cyclo(dim, *coeffs):
 
 
 @st.composite
-def cyclo_elems(draw, dims=PRIMES):
+def cyclo_elems(draw, dims=DIMS):
     dim = draw(st.sampled_from(dims))
     nums = draw(st.lists(st.integers(-9, 9), min_size=dim, max_size=dim))
     dens = draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim))
@@ -55,7 +63,7 @@ class TestZetaPow:
     def test_negative_exponent_wraps(self):
         assert zeta_pow(5, -2) == zeta_pow(5, 3)
 
-    @pytest.mark.parametrize("dim", PRIMES)
+    @pytest.mark.parametrize("dim", DIMS)
     def test_inverse_pairs_multiply_to_one(self, dim):
         one = CycloElem.one(dim)
         for e in range(dim):
@@ -107,10 +115,16 @@ class TestCanonicalReduce:
     def test_dim2_top_folds_to_minus_one(self):
         assert cyclo(2, 0, 1).canonical_reduce().coeffs == (-1, 0)
 
-    def test_composite_dim_unchanged(self):
+    def test_composite_dim_reduces_modulo_phi(self):
+        # 1 + z + z^2 + z^3 = (1 + z)(1 + z^2) and Phi_4 = 1 + x^2
         elem = cyclo(4, 1, 1, 1, 1)
-        assert elem.canonical_reduce().coeffs == (1, 1, 1, 1)
         assert not elem.is_canonical
+        assert elem.canonical_reduce().coeffs == (0, 0, 0, 0)
+        # Phi_6 = 1 - x + x^2, so z^2 = z - 1 and z^5 = 1 - z
+        assert zeta_pow(6, 2).coeffs == (-1, 1, 0, 0, 0, 0)
+        assert zeta_pow(6, 5).coeffs == (1, -1, 0, 0, 0, 0)
+        # Phi_9 = 1 + x^3 + x^6: z^8 = -z^2 - z^5
+        assert zeta_pow(9, 8).coeffs == (0, 0, -1, 0, 0, -1, 0, 0, 0)
 
     @settings(max_examples=200)
     @given(cyclo_elems())
@@ -132,10 +146,11 @@ class TestZeroAndComplex:
         z = zeta_pow(4, 1).to_complex()
         assert abs(z - 1j) < 1e-12
 
-    def test_composite_zero_test_warns(self):
-        elem = cyclo(4, 1, 0, 1, 0)  # 1 + zeta^2 = 0 at d=4
-        with pytest.warns(UserWarning):
-            assert elem.is_zero()
+    def test_composite_zero_test_exact(self):
+        assert cyclo(4, 1, 0, 1, 0).is_zero()  # 1 + zeta^2 = 0 at d=4
+        assert cyclo(6, 1, 0, 0, 1, 0, 0).is_zero()  # 1 + zeta^3 = 0 at d=6
+        assert cyclo(6, 1, 0, 1, 0, 1, 0).is_zero()  # 1 + w + w^2 with w = zeta^2
+        assert not cyclo(8, 1, 0, 0, 0, 0, 0, 0, 1).is_zero()
 
     def test_bool_is_nonzero(self):
         assert bool(zeta_pow(3, 1))
@@ -165,7 +180,7 @@ class TestConjugation:
     @settings(max_examples=100)
     @given(st.data())
     def test_multiplicative(self, data):
-        dim = data.draw(st.sampled_from(PRIMES))
+        dim = data.draw(st.sampled_from(DIMS))
         a = data.draw(cyclo_elems(dims=(dim,)))
         b = data.draw(cyclo_elems(dims=(dim,)))
         assert (a * b).conj() == a.conj() * b.conj()
@@ -185,7 +200,7 @@ class TestRingAxioms:
     @settings(max_examples=200)
     @given(st.data())
     def test_axioms_on_random_triples(self, data):
-        dim = data.draw(st.sampled_from(PRIMES))
+        dim = data.draw(st.sampled_from(DIMS))
         a = data.draw(cyclo_elems(dims=(dim,)))
         b = data.draw(cyclo_elems(dims=(dim,)))
         c = data.draw(cyclo_elems(dims=(dim,)))
@@ -216,22 +231,70 @@ class TestRationalValue:
         with pytest.raises(ValueError):
             rational_value(zeta_pow(3, 1))
 
-    def test_composite_dim_warns_and_snaps(self):
-        # zeta^2 at d=4 is -1, rational but not syntactically so
-        elem = cyclo(4, 0, 0, 1, 0)
-        with pytest.warns(UserWarning):
-            assert rational_value(elem) == -1
+    def test_composite_dim_exact(self):
+        # rational but not syntactically so
+        assert rational_value(zeta_pow(4, 2)) == -1
+        assert rational_value(zeta_pow(6, 1) + zeta_pow(6, 5)) == 1  # 2 cos(pi/3)
+        assert rational_value(zeta_pow(12, 2) + zeta_pow(12, 10)) == 1
+        assert rational_value(Fraction(2, 3) * zeta_pow(9, 3) * zeta_pow(9, 6)) == Fraction(2, 3)
 
     def test_composite_non_rational_rejected(self):
         with pytest.raises(ValueError):
             rational_value(zeta_pow(4, 1))
 
 
-class TestIsPrime:
-    def test_small_values(self):
-        assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
-        assert not is_prime(1)
-        assert not is_prime(0)
+class TestCyclotomicPolynomial:
+    def test_table_up_to_twelve(self):
+        table = {
+            1: (-1, 1),
+            2: (1, 1),
+            3: (1, 1, 1),
+            4: (1, 0, 1),
+            5: (1, 1, 1, 1, 1),
+            6: (1, -1, 1),
+            7: (1,) * 7,
+            8: (1, 0, 0, 0, 1),
+            9: (1, 0, 0, 1, 0, 0, 1),
+            10: (1, -1, 1, -1, 1),
+            11: (1,) * 11,
+            12: (1, 0, -1, 0, 1),
+        }
+        assert {n: cyclotomic_polynomial(n) for n in table} == table
+
+    @pytest.mark.parametrize("dim", range(2, 31))
+    def test_degree_is_totient_and_zeta_is_a_root(self, dim):
+        poly = cyclotomic_polynomial(dim)
+        assert len(poly) - 1 == sum(1 for k in range(1, dim + 1) if math.gcd(k, dim) == 1)
+        value = sum(c * zeta_pow(dim, t) for t, c in enumerate(poly))
+        assert value.is_zero()
+
+    def test_rejects_nonpositive_order(self):
+        with pytest.raises(ValueError):
+            cyclotomic_polynomial(0)
+
+
+class TestSqrtRational:
+    @pytest.mark.parametrize("dim", range(2, 25))
+    def test_square_and_sign(self, dim):
+        for value in (1, 2, 3, 5, 6, 7, 12, 13, 21, Fraction(1, 3), Fraction(18, 25), 49):
+            root = sqrt_rational(dim, Fraction(value))
+            if root is None:
+                continue
+            assert root * root == value
+            assert abs(root.to_complex() - math.sqrt(value)) < 1e-9
+
+    def test_field_membership(self):
+        assert sqrt_rational(3, 3) is None  # only sqrt(-3) lies in Q(zeta_3)
+        assert sqrt_rational(12, 3) is not None
+        assert sqrt_rational(5, 5) is not None
+        assert sqrt_rational(7, 7) is None  # 7 = 3 mod 4 needs 4 | d
+        assert sqrt_rational(4, 2) is None and sqrt_rational(8, 2) is not None
+        assert sqrt_rational(5, 3) is None
+        assert sqrt_rational(5, Fraction(9, 4)) == Fraction(3, 2)
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            sqrt_rational(3, 0)
 
 
 class TestPrinting:
