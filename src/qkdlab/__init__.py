@@ -17,7 +17,6 @@ from .adversary import (
     InconsistencyError,
     InterceptResend,
     ScheduleViolationError,
-    StrategyOrderError,
     infer_keys,
     observation_sign,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "ScheduleViolationError",
     "SessionMetrics",
     "SessionTranscript",
-    "StrategyOrderError",
     "announce_subsequence",
     "basis_state",
     "bell_state",

@@ -9,6 +9,13 @@ invisible, and in odd rounds deterministically reads off the current
 key dit shifted by the (unknown) first one.  A single later announcement
 of any odd dit then pins the first dit down, and with it every odd dit
 the attacker observed.
+
+Strategies are stateless hooks that protocol.run_round calls at two
+points of every round: after the shared basis change and while the key
+qudit is in transit.  The transit hook returns the states it produced,
+unlabelled, and the value it read; run_round names them and records the
+value on the round's transcript, which is the only record of what the
+attacker saw.
 """
 
 from __future__ import annotations
@@ -20,12 +27,6 @@ from .register import (
     TRANSIT_WIRE,
     PureState,
 )
-
-Stage = tuple[str, PureState]
-
-
-class StrategyOrderError(RuntimeError):
-    """An adversary hook was invoked in a round where it is not defined."""
 
 
 class ScheduleViolationError(RuntimeError):
@@ -67,87 +68,32 @@ class EveObservation:
             raise ValueError(f"observed value must be a dit, got {self.value}")
 
 
-# -- strategy hooks ------------------------------------------------------------
-
-
-def gao_on_basis_change(state: PureState, round_index: int) -> PureState:
-    """Mirror the legitimate basis change on the ancilla (rounds two onward)."""
-    if round_index < 2:
-        raise StrategyOrderError("the ancilla stays untouched during the first basis change")
-    return state.apply_hadamard(ANCILLA_WIRE)
-
-
-def gao_on_transit(state: PureState, round_index: int) -> tuple[PureState, int | None, list[Stage]]:
-    """Act on the travelling qudit according to the round schedule.
-
-    Round one copies the transit value onto the ancilla.  Even rounds add
-    the ancilla back onto the transit qudit, which restores the honest
-    transit state exactly.  Odd rounds from three on subtract the ancilla,
-    read the now-deterministic transit value, and add the ancilla back.
-    Returns the resulting state, the observation value if any, and the
-    labelled intermediate snapshots for the transcript.
-    """
-    prefix = gao_stage_prefix(round_index)
-    if round_index == 1:
-        st = state.apply_controlled_shift(TRANSIT_WIRE, ANCILLA_WIRE, "right")
-        return st, None, [(f"{prefix}_2", st)]
-    if round_index % 2 == 0:
-        st = state.apply_controlled_shift(ANCILLA_WIRE, TRANSIT_WIRE, "right")
-        return st, None, [(f"{prefix}_2", st)]
-    st = state.apply_controlled_shift(ANCILLA_WIRE, TRANSIT_WIRE, "left")
-    stages = [(f"{prefix}_2", st)]
-    value = st.deterministic_outcome(TRANSIT_WIRE)
-    if value is None:
-        raise ScheduleViolationError(
-            f"transit qudit not deterministic in extraction round {round_index}"
-        )
-    st = st.apply_controlled_shift(ANCILLA_WIRE, TRANSIT_WIRE, "right")
-    stages.append((f"{prefix}_3", st))
-    return st, value, stages
-
-
-def intercept_resend_on_transit(state: PureState, rng) -> tuple[PureState, int]:
-    """Measure the travelling qudit and forward the collapsed state."""
-    outcome, collapsed, _ = state.measure_computational(TRANSIT_WIRE, rng)
-    return collapsed, outcome
-
-
-_GAO_PREFIXES = ("Phi", "Psi", "Omega", "Theta", "Upsilon")
-
-
-def gao_stage_prefix(round_index: int) -> str:
-    """Stage-name family for one attacked round; families repeat with period 4."""
-    if round_index < 1:
-        raise ValueError(f"round index must be positive, got {round_index}")
-    if round_index == 1:
-        return _GAO_PREFIXES[0]
-    return _GAO_PREFIXES[(round_index - 2) % 4 + 1]
-
-
 # -- strategies ----------------------------------------------------------------
 
 
 class AdversaryStrategy:
     """Pass-through channel; subclasses override the two hooks.
 
-    on_transit returns the new state, an observation value or None, and
-    the labelled snapshots taken while the qudit was in transit.
+    Strategies keep no per-session state, so one instance can serve any
+    number of sessions.  on_transit returns the states it produced, in
+    order (the last one travels on to Bob), and the value it read or
+    None; run_round names the states.
     """
 
     kind = "none"
     wants_ancilla = False
+    #: rounds the strategy acts on, sorted; None means every round
+    attack_rounds: tuple[int, ...] | None = None
 
     def on_basis_change(self, state: PureState, round_index: int) -> PureState:
         return state
 
-    def on_transit(self, state: PureState, round_index: int, rng) -> tuple[PureState, int | None, list[Stage]]:
-        return state, None, [("in_transit", state)]
+    def on_transit(self, state: PureState, round_index: int, rng) -> tuple[list[PureState], int | None]:
+        return [state], None
 
     def stage_prefix(self, round_index: int) -> str | None:
+        """Stage-name family for the round, or None for the generic labels."""
         return None
-
-    def clone(self) -> AdversaryStrategy:
-        return type(self)()
 
 
 class InterceptResend(AdversaryStrategy):
@@ -156,21 +102,18 @@ class InterceptResend(AdversaryStrategy):
     kind = "intercept"
 
     def __init__(self, attack_rounds=None) -> None:
-        self.attack_rounds = None if attack_rounds is None else frozenset(attack_rounds)
-        self.observations: list[tuple[int, int]] = []
-
-    def attacks(self, round_index: int) -> bool:
-        return self.attack_rounds is None or round_index in self.attack_rounds
+        if attack_rounds is not None:
+            self.attack_rounds = tuple(sorted(set(attack_rounds)))
 
     def on_transit(self, state, round_index, rng):
-        if not self.attacks(round_index):
-            return state, None, [("in_transit", state)]
-        collapsed, outcome = intercept_resend_on_transit(state, rng)
-        self.observations.append((round_index, outcome))
-        return collapsed, outcome, [("in_transit", collapsed)]
+        """Measure the travelling qudit and forward the collapsed state."""
+        if self.attack_rounds is not None and round_index not in self.attack_rounds:
+            return [state], None
+        outcome, collapsed, _ = state.measure_computational(TRANSIT_WIRE, rng)
+        return [collapsed], outcome
 
-    def clone(self) -> InterceptResend:
-        return InterceptResend(self.attack_rounds)
+
+_GAO_PREFIXES = ("Phi", "Psi", "Omega", "Theta", "Upsilon")
 
 
 class GaoAttack(AdversaryStrategy):
@@ -179,27 +122,39 @@ class GaoAttack(AdversaryStrategy):
     kind = "gao"
     wants_ancilla = True
 
-    def __init__(self) -> None:
-        self.observations: list[EveObservation] = []
-
     def on_basis_change(self, state, round_index):
+        """Mirror the legitimate basis change on the ancilla (rounds two onward)."""
         if round_index == 1:
             return state
-        return gao_on_basis_change(state, round_index)
+        return state.apply_hadamard(ANCILLA_WIRE)
 
     def on_transit(self, state, round_index, rng):
-        state, value, stages = gao_on_transit(state, round_index)
-        if value is not None:
-            self.observations.append(
-                EveObservation(round_index, value, observation_sign(round_index))
+        """Act on the travelling qudit according to the round schedule.
+
+        Round one copies the transit value onto the ancilla.  Even rounds add
+        the ancilla back onto the transit qudit, which restores the honest
+        transit state exactly.  Odd rounds from three on subtract the ancilla,
+        read the now-deterministic transit value, and add the ancilla back.
+        """
+        if round_index == 1:
+            return [state.apply_controlled_shift(TRANSIT_WIRE, ANCILLA_WIRE, "right")], None
+        if round_index % 2 == 0:
+            return [state.apply_controlled_shift(ANCILLA_WIRE, TRANSIT_WIRE, "right")], None
+        read = state.apply_controlled_shift(ANCILLA_WIRE, TRANSIT_WIRE, "left")
+        value = read.deterministic_outcome(TRANSIT_WIRE)
+        if value is None:
+            raise ScheduleViolationError(
+                f"transit qudit not deterministic in extraction round {round_index}"
             )
-        return state, value, stages
+        return [read, read.apply_controlled_shift(ANCILLA_WIRE, TRANSIT_WIRE, "right")], value
 
     def stage_prefix(self, round_index: int) -> str:
-        return gao_stage_prefix(round_index)
-
-    def clone(self) -> GaoAttack:
-        return GaoAttack()
+        """Families repeat with period 4 from round two on."""
+        if round_index < 1:
+            raise ValueError(f"round index must be positive, got {round_index}")
+        if round_index == 1:
+            return _GAO_PREFIXES[0]
+        return _GAO_PREFIXES[(round_index - 2) % 4 + 1]
 
 
 # -- inference -----------------------------------------------------------------

@@ -17,13 +17,7 @@ from .protocol import (
     run_round,
     run_session,
 )
-from .register import (
-    ALICE_WIRE,
-    BOB_WIRE,
-    TRANSIT_WIRE,
-    basis_state,
-    bell_state,
-)
+from .register import TRANSIT_WIRE, bell_state
 
 #: enumeration guardrails: beyond this, exact branch counting is impractical
 MAX_EXACT_DIM = 7
@@ -86,10 +80,26 @@ def _check_enumeration_bounds(dim: int, rounds: int) -> None:
         raise ValueError(f"exact enumeration supports at most {MAX_EXACT_ROUNDS} rounds")
 
 
-def _encode(state, dim: int, key_dit: int):
-    st = state.apply_hadamard(ALICE_WIRE).apply_hadamard(BOB_WIRE, conjugate=True)
-    st = st.tensor(basis_state(dim, [(TRANSIT_WIRE, key_dit)]))
-    return st.apply_controlled_shift(ALICE_WIRE, TRANSIT_WIRE, "right")
+class _Postselect(AdversaryStrategy):
+    """Intercept-resend that keeps one given outcome instead of sampling it."""
+
+    kind = "intercept"
+
+    def __init__(self, outcome: int) -> None:
+        self.outcome = outcome
+
+    def on_transit(self, state, round_index, rng):
+        return [state.project(TRANSIT_WIRE, self.outcome)], self.outcome
+
+
+def _honest_prefix(dim: int, attack_round: int, key):
+    """Shared state before attack_round and that round's honest transcript."""
+    rng = make_rng(0)
+    st = bell_state(dim)
+    for i in range(1, attack_round):
+        st, _ = run_round(st, i, key[i - 1], None, rng)
+    _, honest = run_round(st, attack_round, key[attack_round - 1], None, rng)
+    return st, honest, rng
 
 
 def exact_next_round_error(dim: int, attack_round: int, key=None) -> Fraction:
@@ -106,21 +116,19 @@ def exact_next_round_error(dim: int, attack_round: int, key=None) -> Fraction:
     key = tuple(key) if key is not None else (0,) * rounds
     if len(key) < rounds:
         raise ValueError(f"need at least {rounds} key dits, got {len(key)}")
-    rng = make_rng(0)
-    st = bell_state(dim)
-    for i in range(1, attack_round):
-        st, _ = run_round(st, i, key[i - 1], None, rng)
-    st = _encode(st, dim, key[attack_round - 1])
+    st, honest, rng = _honest_prefix(dim, attack_round, key)
+    transit = honest.stage_state("in_transit")
     target = key[attack_round]
     error = Fraction(0)
-    for eve_outcome, p_eve in st.measurement_distribution(TRANSIT_WIRE).items():
-        eve_branch = st.project(TRANSIT_WIRE, eve_outcome)
-        decoded = eve_branch.apply_controlled_shift(BOB_WIRE, TRANSIT_WIRE, "left")
+    for eve_outcome, p_eve in transit.measurement_distribution(TRANSIT_WIRE).items():
+        _, intercepted = run_round(
+            st, attack_round, key[attack_round - 1], _Postselect(eve_outcome), rng
+        )
+        decoded = intercepted.stage_state("post_decode")
         for bob_outcome, p_bob in decoded.measurement_distribution(TRANSIT_WIRE).items():
             shared = decoded.project(TRANSIT_WIRE, bob_outcome).drop_wire(TRANSIT_WIRE)
-            follow = _encode(shared, dim, target)
-            follow = follow.apply_controlled_shift(BOB_WIRE, TRANSIT_WIRE, "left")
-            dist = follow.measurement_distribution(TRANSIT_WIRE)
+            _, follow = run_round(shared, attack_round + 1, target, None, rng)
+            dist = follow.stage_state("post_decode").measurement_distribution(TRANSIT_WIRE)
             error += p_eve * p_bob * (1 - dist.get(target, Fraction(0)))
     return error
 
@@ -135,12 +143,8 @@ def exact_intercept_observation_distribution(
     key = tuple(key)
     if len(key) < attack_round:
         raise ValueError(f"need at least {attack_round} key dits, got {len(key)}")
-    rng = make_rng(0)
-    st = bell_state(dim)
-    for i in range(1, attack_round):
-        st, _ = run_round(st, i, key[i - 1], None, rng)
-    st = _encode(st, dim, key[attack_round - 1])
-    return st.measurement_distribution(TRANSIT_WIRE)
+    _, honest, _ = _honest_prefix(dim, attack_round, key)
+    return honest.stage_state("in_transit").measurement_distribution(TRANSIT_WIRE)
 
 
 # -- Monte-Carlo -----------------------------------------------------------------
@@ -232,7 +236,7 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    template = strategy if strategy is not None else AdversaryStrategy()
+    strategy = strategy if strategy is not None else AdversaryStrategy()
     n = config.num_rounds
     qber_total = Fraction(0)
     round_err_totals = [0] * n
@@ -244,7 +248,7 @@ def monte_carlo(
         key = tuple(int(x) for x in trial_rng.integers(0, config.dim, n))
         session_seed = int(trial_rng.integers(0, 2**63))
         cfg = ProtocolConfig(dim=config.dim, num_rounds=n, key=key, rng_seed=session_seed)
-        session = run_session(cfg, template.clone())
+        session = run_session(cfg, strategy)
         if announce:
             announce_subsequence(session, announce)
         metrics = compute_metrics(session, key)
@@ -256,7 +260,7 @@ def monte_carlo(
         detections += int(metrics.detection_triggered)
         known_total += metrics.eve_known_fraction
     return ExperimentReport(
-        strategy=template.kind,
+        strategy=strategy.kind,
         dim=config.dim,
         num_rounds=n,
         trials=trials,

@@ -56,7 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _dit_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
@@ -151,6 +151,8 @@ def _resolve_key(args, parser, seed: int, rounds: int) -> tuple[int, ...]:
         if len(key) != rounds:
             parser.error(f"--key has {len(key)} dits but --rounds is {rounds}")
         return key
+    if args.d < 2 or rounds < 1:
+        return ()  # nothing to draw; ProtocolConfig names the bad --d or --rounds
     key_seed = args.key_seed if args.key_seed is not None else seed
     rng = make_rng(key_seed, stream=1)
     return tuple(int(x) for x in rng.integers(0, args.d, rounds))
@@ -173,7 +175,7 @@ def _make_adversary(args, parser, num_rounds: int):
         rounds = args.intercept_rounds
         if rounds is None:
             return InterceptResend()
-        if not rounds or not all(1 <= index <= num_rounds for index in rounds):
+        if not all(1 <= index <= num_rounds for index in rounds):
             parser.error(f"--intercept-rounds must name rounds in 1..{num_rounds}, got {rounds}")
         return InterceptResend(rounds)
     return GaoAttack()
@@ -205,16 +207,14 @@ def cmd_run(args, parser) -> int:
     print(f"qber         = {metrics.qber_overall} ({float(metrics.qber_overall):.4f})")
     print(f"announced    = {session.announced}")
     print(f"detection    = {'yes' if metrics.detection_triggered else 'no'}")
-    if session.adversary_kind == "gao":
-        values = [o.value for o in session.eve_observations]
+    if session.adversary_kind != "none":
+        values = [r.eve_observation for r in session.rounds if r.eve_observation is not None]
         print(f"eve observations = {values}")
+    if session.adversary_kind == "gao":
         print(
             f"eve known fraction = {metrics.eve_known_fraction} "
             f"candidates={metrics.eve_candidate_count}"
         )
-    elif session.adversary_kind == "intercept":
-        values = [r.eve_observation for r in session.rounds if r.eve_observation is not None]
-        print(f"eve observations = {values}")
     if args.trace:
         print(f"trace written to {args.trace}")
     return EXIT_DETECTION if metrics.detection_triggered else EXIT_OK

@@ -8,11 +8,13 @@ measures it.  An honest channel reproduces the key dit exactly and
 leaves the shared pair in its initial entangled state, which is reused
 by the next round.
 
-Transcripts snapshot the state at labelled stages.  Honest and
-intercepted rounds use the generic labels pre_encode / post_encode /
+run_round is the one place that knows the steps of a round and names
+its stages.  Transcripts snapshot the state at labelled stages.  Honest
+and intercepted rounds use the generic labels pre_encode / post_encode /
 in_transit / post_decode; rounds attacked by the ancilla strategy use
 the per-round families psi_<i>_0, Phi_0..3 / Psi_0..3 / Omega_0..4 /
-Theta_0..3 / Upsilon_0..4, psi_<i>_1.
+Theta_0..3 / Upsilon_0..4, psi_<i>_1, where the states the strategy
+produced in transit are numbered from <prefix>_2 on.
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversary import AdversaryStrategy, EveKnowledge, EveObservation, GaoAttack, infer_keys
+from .adversary import (
+    AdversaryStrategy,
+    EveKnowledge,
+    EveObservation,
+    infer_keys,
+    observation_sign,
+)
 from .register import (
     ALICE_WIRE,
     ANCILLA_WIRE,
@@ -96,12 +104,22 @@ class SessionTranscript:
     attack_rounds: tuple[int, ...] | None
     rounds: tuple[RoundTranscript, ...]
     final_shared_state: PureState
-    eve_observations: tuple[EveObservation, ...] = ()
     announced: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def bob_outcomes(self) -> tuple[int, ...]:
         return tuple(r.bob_outcome for r in self.rounds)
+
+    @property
+    def eve_observations(self) -> tuple[EveObservation, ...]:
+        """The ancilla attacker's readouts with their signs; () for other kinds."""
+        if self.adversary_kind != "gao":
+            return ()
+        return tuple(
+            EveObservation(r.round_index, r.eve_observation, observation_sign(r.round_index))
+            for r in self.rounds
+            if r.eve_observation is not None
+        )
 
     def eve_knowledge(self) -> EveKnowledge:
         return EveKnowledge(self.config.dim, self.eve_observations)
@@ -143,14 +161,17 @@ def run_round(
     st = st.apply_controlled_shift(ALICE_WIRE, TRANSIT_WIRE, "right")
     stages.append((f"{prefix}_1" if prefix else "post_encode", st))
 
-    st, observation, transit_stages = strategy.on_transit(st, round_index, rng)
+    transit, observation = strategy.on_transit(st, round_index, rng)
+    st = transit[-1]
     if TRANSIT_WIRE not in st.wires:
         raise ProtocolViolationError("adversary hook removed the transit wire")
-    stages.extend(transit_stages)
+    if prefix is None:
+        stages.append(("in_transit", st))
+    else:
+        stages.extend((f"{prefix}_{2 + i}", s) for i, s in enumerate(transit))
 
     st = st.apply_controlled_shift(BOB_WIRE, TRANSIT_WIRE, "left")
-    decode_label = f"{prefix}_{2 + len(transit_stages)}" if prefix else "post_decode"
-    stages.append((decode_label, st))
+    stages.append((f"{prefix}_{2 + len(transit)}" if prefix else "post_decode", st))
 
     outcome, st, _ = st.measure_computational(TRANSIT_WIRE, rng)
     st = st.drop_wire(TRANSIT_WIRE)
@@ -174,21 +195,12 @@ def run_session(
     for index, key_dit in enumerate(config.key, start=1):
         st, transcript = run_round(st, index, key_dit, strategy, rng)
         rounds.append(transcript)
-    observations = tuple(strategy.observations) if isinstance(strategy, GaoAttack) else ()
-    attack_rounds = None
-    if strategy.kind == "intercept":
-        attack_rounds = (
-            None
-            if strategy.attack_rounds is None
-            else tuple(sorted(strategy.attack_rounds))
-        )
     return SessionTranscript(
         config=config,
         adversary_kind=strategy.kind,
-        attack_rounds=attack_rounds,
+        attack_rounds=strategy.attack_rounds,
         rounds=tuple(rounds),
         final_shared_state=st,
-        eve_observations=observations,
     )
 
 
@@ -196,7 +208,8 @@ def parse_announce(spec: str, num_rounds: int) -> list[int]:
     """The 1-based round indices an announcement policy names.
 
     spec is "none", "odd", "even" or a comma list of indices; raises
-    ValueError for any other text and for an index outside 1..num_rounds.
+    ValueError for any other text, for an index outside 1..num_rounds
+    and for an index named twice.
     """
     if spec == "none":
         return []
@@ -210,9 +223,11 @@ def parse_announce(spec: str, num_rounds: int) -> list[int]:
         raise ValueError(
             f'announce must be "none", "odd", "even" or a comma list, got {spec!r}'
         ) from None
-    for index in indices:
+    for i, index in enumerate(indices):
         if not 1 <= index <= num_rounds:
             raise ValueError(f"announce index {index} outside rounds 1..{num_rounds}")
+        if index in indices[:i]:
+            raise ValueError(f"announce index {index} repeated")
     return indices
 
 
@@ -220,13 +235,18 @@ def announce_subsequence(session: SessionTranscript, indices) -> list[tuple[int,
     """Publicly reveal Alice's dits at the given 1-based round indices.
 
     The revealed dits are recorded on the transcript and are treated as
-    consumed: they no longer count toward the usable key.
+    consumed: they no longer count toward the usable key.  A round can be
+    announced only once per session.
     """
     n = session.config.num_rounds
+    done = {index for index, _ in session.announced}
     out = []
     for index in indices:
         if not 1 <= index <= n:
             raise ValueError(f"announce index {index} outside rounds 1..{n}")
+        if index in done:
+            raise ValueError(f"round {index} is already announced")
+        done.add(index)
         out.append((index, session.config.key[index - 1]))
     session.announced.extend(out)
     return out
@@ -238,22 +258,24 @@ def announce_subsequence(session: SessionTranscript, indices) -> list[tuple[int,
 def _eve_json(session: SessionTranscript) -> dict | None:
     if session.adversary_kind == "none":
         return None
-    if session.adversary_kind == "gao":
-        resolved, known = infer_keys(session.eve_knowledge(), session.announced)
-        return {
-            "observations": [
-                {"round": o.round_index, "value": o.value, "sign": o.sign}
-                for o in session.eve_observations
-            ],
-            "resolved_q1": resolved,
-            "known_dits": {str(r): v for r, v in sorted(known.items())},
-        }
+    gao = session.adversary_kind == "gao"
     observations = [
-        {"round": r.round_index, "value": r.eve_observation, "sign": None}
+        {
+            "round": r.round_index,
+            "value": r.eve_observation,
+            "sign": observation_sign(r.round_index) if gao else None,
+        }
         for r in session.rounds
         if r.eve_observation is not None
     ]
-    return {"observations": observations, "resolved_q1": None, "known_dits": {}}
+    resolved, known = (
+        infer_keys(session.eve_knowledge(), session.announced) if gao else (None, {})
+    )
+    return {
+        "observations": observations,
+        "resolved_q1": resolved,
+        "known_dits": {str(r): v for r, v in sorted(known.items())},
+    }
 
 
 def transcript_to_json_dict(session: SessionTranscript) -> dict:

@@ -9,15 +9,18 @@ from qkdlab.adversary import (
     InconsistencyError,
     InterceptResend,
     ScheduleViolationError,
-    StrategyOrderError,
-    gao_on_basis_change,
-    gao_on_transit,
-    gao_stage_prefix,
     infer_keys,
     observation_sign,
 )
+from qkdlab.analysis import compute_metrics
 from qkdlab.closed_forms import eavesdrop_stage_states
-from qkdlab.protocol import ProtocolConfig, make_rng, run_session
+from qkdlab.protocol import (
+    ProtocolConfig,
+    announce_subsequence,
+    make_rng,
+    run_session,
+    transcript_to_json_dict,
+)
 from qkdlab.register import basis_state, bell_state, state_equals
 
 
@@ -36,38 +39,35 @@ class TestObservationSign:
 
 
 class TestGaoHooks:
-    def test_basis_change_rejected_in_round_one(self):
+    STAGES = eavesdrop_stage_states(3, (1, 0, 2, 1, 2))
+
+    def test_basis_change_leaves_round_one_unchanged(self):
         state = bell_state(3).tensor(basis_state(3, [("e", 0)]))
-        with pytest.raises(StrategyOrderError):
-            gao_on_basis_change(state, 1)
+        assert GaoAttack().on_basis_change(state, 1) is state
 
     def test_basis_change_reproduces_round_two_start(self):
-        stages = eavesdrop_stage_states(3, (1, 0, 2, 1, 2))
-        psi11 = stages["psi_1_1"]
-        rotated = psi11.apply_hadamard("a").apply_hadamard("b", conjugate=True)
-        rotated = gao_on_basis_change(rotated, 2)
-        assert state_equals(rotated, stages["psi_2_0"])
+        rotated = self.STAGES["psi_1_1"].apply_hadamard("a").apply_hadamard("b", conjugate=True)
+        rotated = GaoAttack().on_basis_change(rotated, 2)
+        assert state_equals(rotated, self.STAGES["psi_2_0"])
 
     def test_transit_round_one_entangles_ancilla(self):
-        stages = eavesdrop_stage_states(3, (1, 0, 2, 1, 2))
-        state, value, emitted = gao_on_transit(stages["Phi_1"], 1)
+        states, value = GaoAttack().on_transit(self.STAGES["Phi_1"], 1, None)
         assert value is None
-        assert [label for label, _ in emitted] == ["Phi_2"]
-        assert state_equals(state, stages["Phi_2"])
+        assert len(states) == 1
+        assert state_equals(states[0], self.STAGES["Phi_2"])
 
     def test_transit_even_round_invisible(self):
-        stages = eavesdrop_stage_states(3, (1, 0, 2, 1, 2))
-        state, value, emitted = gao_on_transit(stages["Psi_1"], 2)
+        states, value = GaoAttack().on_transit(self.STAGES["Psi_1"], 2, None)
         assert value is None
-        assert [label for label, _ in emitted] == ["Psi_2"]
-        assert state_equals(state, stages["Psi_2"])
+        assert len(states) == 1
+        assert state_equals(states[0], self.STAGES["Psi_2"])
 
     def test_transit_odd_round_reads_key(self):
-        stages = eavesdrop_stage_states(3, (1, 0, 2, 1, 2))
-        state, value, emitted = gao_on_transit(stages["Omega_1"], 3)
+        states, value = GaoAttack().on_transit(self.STAGES["Omega_1"], 3, None)
         assert value == 0  # (q3 + q1) mod 3 = (2 + 1) mod 3
-        assert [label for label, _ in emitted] == ["Omega_2", "Omega_3"]
-        assert state_equals(state, stages["Omega_3"])
+        assert len(states) == 2
+        assert state_equals(states[0], self.STAGES["Omega_2"])
+        assert state_equals(states[1], self.STAGES["Omega_3"])
 
     def test_broken_schedule_detected(self):
         # at an odd round the disentangling shift must leave the transit
@@ -76,10 +76,10 @@ class TestGaoHooks:
         state = state.apply_controlled_shift("a", "k", "right")
         state = state.tensor(basis_state(3, [("e", 0)]))
         with pytest.raises(ScheduleViolationError):
-            gao_on_transit(state, 3)
+            GaoAttack().on_transit(state, 3, None)
 
     def test_stage_prefix_cycle(self):
-        prefixes = [gao_stage_prefix(i) for i in range(1, 10)]
+        prefixes = [GaoAttack().stage_prefix(i) for i in range(1, 10)]
         assert prefixes == [
             "Phi", "Psi", "Omega", "Theta", "Upsilon",
             "Psi", "Omega", "Theta", "Upsilon",
@@ -102,16 +102,23 @@ class TestGaoStrategyState:
             expected = (key[obs.round_index - 1] + obs.sign * key[0]) % 3
             assert obs.value == expected
 
-    def test_clone_is_fresh(self):
-        attack = GaoAttack()
-        config = ProtocolConfig(dim=3, num_rounds=3, key=(1, 0, 2), rng_seed=0)
-        run_session(config, attack)
-        assert len(attack.observations) == 1
-        assert attack.clone().observations == []
-
-    def test_intercept_clone_keeps_rounds(self):
-        attack = InterceptResend({2, 4})
-        assert attack.clone().attack_rounds == frozenset({2, 4})
+    @pytest.mark.parametrize(
+        "make", [GaoAttack, lambda: InterceptResend({2})], ids=["gao", "intercept"]
+    )
+    def test_one_instance_serves_many_sessions(self, make):
+        key = (1, 0, 2, 1, 2)
+        config = ProtocolConfig(dim=3, num_rounds=5, key=key, rng_seed=7)
+        fresh = run_session(config, make())
+        attack = make()
+        sessions = [run_session(config, attack) for _ in range(2)]
+        want = [r.eve_observation for r in fresh.rounds]
+        for session in sessions:
+            assert [r.eve_observation for r in session.rounds] == want
+            assert session.eve_observations == fresh.eve_observations
+            assert session.attack_rounds == fresh.attack_rounds
+            announce_subsequence(session, [3])
+            compute_metrics(session, key)
+            transcript_to_json_dict(session)
 
 
 class TestEveObservation:
@@ -226,15 +233,14 @@ class TestInterceptResendHook:
         attack = InterceptResend()
         st = bell_state(3).tensor(basis_state(3, [("k", 1)]))
         st = st.apply_controlled_shift("a", "k", "right")
-        out, value, emitted = attack.on_transit(st, 1, rng)
-        assert out.deterministic_outcome("k") == value
-        assert attack.observations == [(1, value)]
-        assert [label for label, _ in emitted] == ["in_transit"]
+        states, value = attack.on_transit(st, 1, rng)
+        assert len(states) == 1
+        assert states[0].deterministic_outcome("k") == value
 
     def test_skipped_round_passthrough(self):
         rng = make_rng(3)
         attack = InterceptResend({2})
         st = bell_state(3).tensor(basis_state(3, [("k", 1)]))
-        out, value, _ = attack.on_transit(st, 1, rng)
+        states, value = attack.on_transit(st, 1, rng)
         assert value is None
-        assert out is st
+        assert len(states) == 1 and states[0] is st

@@ -265,6 +265,51 @@ class TestExperiment:
         assert blobs[0] == blobs[1]
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--d", "0"], "dimension must be at least 2, got 0"),
+            (["run", "--d", "-3"], "dimension must be at least 2, got -3"),
+            (["verify-paper", "--d", "0"], "dimension must be at least 2, got 0"),
+            (["run", "--rounds", "-1"], "num_rounds must be positive, got -1"),
+            (["experiment", "--rounds", "-2", "--trials", "3"],
+             "num_rounds must be positive, got -2"),
+        ],
+        ids=["run-d0", "run-d-3", "verify-d0", "run-rounds-1", "experiment-rounds-2"],
+    )
+    def test_bad_dim_or_rounds_without_key(self, capsys, argv, message):
+        # checked before a random key is drawn for them
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 64
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--key", "1,,2,0"],
+            ["--key", "1,2,0,"],
+            ["--attack", "intercept", "--intercept-rounds", "1,,2"],
+        ],
+        ids=["key-inner", "key-trailing", "intercept-rounds"],
+    )
+    def test_empty_comma_part(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["run", "--d", "3", "--rounds", "3", *argv])
+        assert info.value.code == 64
+        assert "expected comma-separated integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["run"], ["experiment", "--trials", "2"]], ids=["run", "experiment"]
+    )
+    def test_repeated_announce_index(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--rounds", "5", "--announce", "3,3"])
+        assert info.value.code == 64
+        assert "announce index 3 repeated" in capsys.readouterr().err
+
+
 class TestModuleEntry:
     def test_importable_main(self):
         # python -m execution path shares cli.main

@@ -191,7 +191,7 @@ class TestAdversaryContract:
                 stripped = basis_state(
                     state.dim, [(w, 0) for w in state.wires if w != "k"]
                 )
-                return stripped, None, [("in_transit", stripped)]
+                return [stripped], None
 
         config = ProtocolConfig(dim=3, num_rounds=1, key=(1,), rng_seed=0)
         with pytest.raises(ProtocolViolationError):
@@ -214,6 +214,16 @@ class TestAnnounce:
         with pytest.raises(ValueError):
             announce_subsequence(session, [0])
 
+    def test_repeated_index_rejected(self):
+        config = ProtocolConfig(dim=3, num_rounds=4, key=(0, 1, 2, 0), rng_seed=0)
+        session = run_session(config)
+        announce_subsequence(session, [3])
+        with pytest.raises(ValueError, match="already announced"):
+            announce_subsequence(session, [3])
+        with pytest.raises(ValueError, match="already announced"):
+            announce_subsequence(session, [1, 2, 2])
+        assert session.announced == [(3, 2)]
+
     def test_parse_policies(self):
         assert parse_announce("none", 5) == []
         assert parse_announce("odd", 5) == [1, 3, 5]
@@ -221,7 +231,7 @@ class TestAnnounce:
         assert parse_announce("13", 13) == [13]
         assert parse_announce("3,5", 5) == [3, 5]
 
-    @pytest.mark.parametrize("spec", ["0", "6", "3,6", "x", "3,,5", "", "odd,3"])
+    @pytest.mark.parametrize("spec", ["0", "6", "3,6", "x", "3,,5", "", "odd,3", "3,3", "2,4,2"])
     def test_parse_rejects_malformed_or_out_of_range(self, spec):
         with pytest.raises(ValueError):
             parse_announce(spec, 5)
