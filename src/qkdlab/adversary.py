@@ -20,7 +20,7 @@ attacker saw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .register import (
     ANCILLA_WIRE,
@@ -57,15 +57,15 @@ class EveObservation:
 
     round_index: int
     value: int
-    sign: int
 
     def __post_init__(self) -> None:
-        if self.sign != observation_sign(self.round_index):
-            raise ValueError(
-                f"sign {self.sign} does not match round {self.round_index}"
-            )
+        observation_sign(self.round_index)  # rejects rounds that read nothing
         if self.value < 0:
             raise ValueError(f"observed value must be a dit, got {self.value}")
+
+    @property
+    def sign(self) -> int:
+        return observation_sign(self.round_index)
 
 
 # -- strategies ----------------------------------------------------------------
@@ -166,21 +166,18 @@ class EveKnowledge:
 
     dim: int
     observations: tuple[EveObservation, ...]
-    q1_candidates: frozenset[int] = field(default=None)  # type: ignore[assignment]
-    resolved_q1: int | None = None
 
     def __post_init__(self):
-        if self.q1_candidates is None:
-            object.__setattr__(self, "q1_candidates", frozenset(range(self.dim)))
-        if not self.q1_candidates:
-            raise ValueError("candidate set for the first dit must be non-empty")
         rounds = [o.round_index for o in self.observations]
         if len(set(rounds)) != len(rounds):
             raise ValueError("duplicate observation rounds")
         if any(o.value >= self.dim for o in self.observations):
             raise ValueError("observed value out of dit range")
-        if self.resolved_q1 is not None and self.resolved_q1 not in self.q1_candidates:
-            raise ValueError("resolved first dit must be among the candidates")
+
+    @property
+    def q1_candidates(self) -> frozenset[int]:
+        """Every value the first dit can take before any announcement."""
+        return frozenset(range(self.dim))
 
     def hypothesis(self, first_dit: int) -> dict[int, int]:
         """Key dits implied by one candidate value of the first dit."""
@@ -203,7 +200,7 @@ def infer_keys(
     """
     d = knowledge.dim
     by_round = {o.round_index: o for o in knowledge.observations}
-    resolved = knowledge.resolved_q1
+    resolved = None
     for index, value in announced:
         if index == 1:
             candidate = value % d
@@ -220,10 +217,6 @@ def infer_keys(
             )
     if resolved is None:
         return None, {}
-    if resolved not in knowledge.q1_candidates:
-        raise InconsistencyError(
-            f"resolved first dit {resolved} is outside the candidate set"
-        )
     known = {1: resolved}
     known.update(knowledge.hypothesis(resolved))
     return resolved, known

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from .adversary import AdversaryStrategy, infer_keys
@@ -167,42 +167,14 @@ class ExperimentReport:
     mc_next_round_sigma3: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "dim": self.dim,
-            "num_rounds": self.num_rounds,
-            "trials": self.trials,
-            "seed": self.seed,
-            "mean_qber": self.mean_qber,
-            "all_trials_zero_qber": self.all_trials_zero_qber,
-            "detection_rate": self.detection_rate,
-            "mean_eve_known_fraction": self.mean_eve_known_fraction,
-            "round_error_rates": list(self.round_error_rates),
-            "exact_next_round_error": (
-                None
-                if self.exact_next_round_error is None
-                else str(self.exact_next_round_error)
-            ),
-            "mc_next_round_error": self.mc_next_round_error,
-            "mc_next_round_sigma3": self.mc_next_round_sigma3,
-        }
+        out = asdict(self)
+        out["round_error_rates"] = list(self.round_error_rates)
+        if self.exact_next_round_error is not None:
+            out["exact_next_round_error"] = str(self.exact_next_round_error)
+        return out
 
 
-CSV_COLUMNS = (
-    "strategy",
-    "dim",
-    "num_rounds",
-    "trials",
-    "seed",
-    "mean_qber",
-    "all_trials_zero_qber",
-    "detection_rate",
-    "mean_eve_known_fraction",
-    "round_error_rates",
-    "exact_next_round_error",
-    "mc_next_round_error",
-    "mc_next_round_sigma3",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(ExperimentReport))
 
 
 def report_to_csv(reports) -> str:

@@ -37,7 +37,7 @@ from .protocol import (
     parse_announce,
     run_session,
 )
-from .register import state_equals
+from .register import first_difference
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -220,19 +220,6 @@ def cmd_run(args, parser) -> int:
     return EXIT_DETECTION if metrics.detection_triggered else EXIT_OK
 
 
-def _first_difference(simulated, expected) -> str:
-    a = simulated.sorted_wires()
-    b = expected.sorted_wires()
-    for basis in sorted(a.terms.keys() | b.terms.keys()):
-        va, vb = a.complex_amplitude(basis), b.complex_amplitude(basis)
-        if abs(va - vb) > 1e-9:
-            return (
-                f"basis {basis}: simulated ({a.amplitude(basis)}) * {a.global_factor():.6g}"
-                f" != expected ({b.amplitude(basis)}) * {b.global_factor():.6g}"
-            )
-    return "states differ only in exact form (same amplitudes to float precision)"
-
-
 def cmd_verify_paper(args, parser) -> int:
     config = _make_config(args, parser, rounds=5)
     session = run_session(config, GaoAttack())
@@ -245,17 +232,14 @@ def cmd_verify_paper(args, parser) -> int:
     failures = []
     for label, want in expected.items():
         got = simulated.get(label)
-        ok = got is not None and state_equals(got, want)
-        print(f"{label:<10} {'ok' if ok else 'FAIL'}")
-        if not ok:
-            failures.append((label, got, want))
+        diff = "missing from the transcript" if got is None else first_difference(got, want)
+        print(f"{label:<10} {'ok' if diff is None else 'FAIL'}")
+        if diff is not None:
+            failures.append((label, diff))
     if failures:
-        label, got, want = failures[0]
+        label, diff = failures[0]
         print(f"{len(failures)} of {len(expected)} stage checks failed")
-        if got is None:
-            print(f"first failure: stage {label} missing from the transcript")
-        else:
-            print(f"first failure at {label}: {_first_difference(got, want)}")
+        print(f"first failure at {label} (simulated != expected): {diff}")
         return EXIT_VERIFY_MISMATCH
     print(f"all {len(expected)} stage checks passed")
     return EXIT_OK

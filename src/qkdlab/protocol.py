@@ -116,7 +116,7 @@ class SessionTranscript:
         if self.adversary_kind != "gao":
             return ()
         return tuple(
-            EveObservation(r.round_index, r.eve_observation, observation_sign(r.round_index))
+            EveObservation(r.round_index, r.eve_observation)
             for r in self.rounds
             if r.eve_observation is not None
         )
@@ -187,6 +187,11 @@ def run_session(
 ) -> SessionTranscript:
     """Run all configured rounds from a fresh shared pair."""
     strategy = adversary if adversary is not None else AdversaryStrategy()
+    outside = [r for r in strategy.attack_rounds or () if not 1 <= r <= config.num_rounds]
+    if outside:
+        raise ValueError(
+            f"attack rounds {outside} lie outside the session's rounds 1..{config.num_rounds}"
+        )
     rng = make_rng(config.rng_seed)
     st = bell_state(config.dim)
     if strategy.wants_ancilla:

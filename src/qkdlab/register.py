@@ -15,7 +15,6 @@ and the eavesdropper's ancilla.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import sqrt
 
 from .ring import CycloElem, rational_value, sqrt_rational
 
@@ -118,9 +117,6 @@ class PureState:
         perm = tuple(self.wires.index(w) for w in order)
         terms = {tuple(b[i] for i in perm): amp for b, amp in self.terms.items()}
         return PureState(self.dim, order, self.scale_exp, terms, self.scale_sq)
-
-    def sorted_wires(self) -> PureState:
-        return self.reorder_wires(sorted(self.wires))
 
     # -- gates ---------------------------------------------------------------
 
@@ -298,15 +294,6 @@ class PureState:
         entries = tuple(tuple(e * weight for e in row) for row in rho)
         return DensityMatrixSlice(dim, entries)
 
-    def amplitude(self, basis: BasisTuple) -> CycloElem:
-        return self.terms.get(tuple(basis), CycloElem.zero(self.dim))
-
-    def global_factor(self) -> float:
-        return sqrt(float(self.scale_sq)) * self.dim ** (-self.scale_exp / 2)
-
-    def complex_amplitude(self, basis: BasisTuple) -> complex:
-        return self.amplitude(basis).to_complex() * self.global_factor()
-
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -423,22 +410,47 @@ def basis_state(dim: int, wire_values) -> PureState:
 # -- comparison ----------------------------------------------------------------
 
 
-def state_equals(a: PureState, b: PureState) -> bool:
-    """Decide exactly whether two states are the same vector.
+def _factor_text(state: PureState) -> str:
+    text = f"{state.dim}^(-{state.scale_exp}/2)"
+    if state.scale_sq != 1:
+        text += f" * sqrt({state.scale_sq})"
+    return text
 
-    The global factors are aligned by writing their ratio as a ring
-    element; when the field holds no such element, only two zero states
-    can be equal.
+
+def first_difference(a: PureState, b: PureState) -> str | None:
+    """None when a and b are the same vector, else the first basis state where they differ.
+
+    The line names the basis state by wire label, in a's wire order, and
+    gives both exact amplitudes with their global factors.  The factors
+    are aligned by writing their ratio as a ring element; when the field
+    holds no such element, the states differ on every basis state where
+    either is nonzero.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
     if set(a.wires) != set(b.wires):
         raise ValueError(f"wire sets differ: {a.wires} vs {b.wires}")
-    a = a.sorted_wires()
-    b = b.sorted_wires()
+    perm = tuple(b.wires.index(w) for w in a.wires)
+    b_terms = {tuple(basis[i] for i in perm): amp for basis, amp in b.terms.items()}
     ratio_sq = (b.scale_sq / a.scale_sq) * Fraction(a.dim) ** (a.scale_exp - b.scale_exp)
     ratio = sqrt_rational(a.dim, ratio_sq)
-    if ratio is None:
-        return not a.terms and not b.terms
-    keys = a.terms.keys() | b.terms.keys()
-    return all((a.amplitude(k) - b.amplitude(k) * ratio).is_zero() for k in keys)
+    zero = CycloElem.zero(a.dim)
+    differing = [
+        basis
+        for basis in a.terms.keys() | b_terms.keys()
+        if ratio is None
+        or not (a.terms.get(basis, zero) - b_terms.get(basis, zero) * ratio).is_zero()
+    ]
+    if not differing:
+        return None
+    basis = min(differing)
+    labels = ", ".join(f"{w}={v}" for w, v in zip(a.wires, basis))
+    return (
+        f"basis ({labels}): ({a.terms.get(basis, zero)}) * {_factor_text(a)}"
+        f" != ({b_terms.get(basis, zero)}) * {_factor_text(b)}"
+    )
+
+
+def state_equals(a: PureState, b: PureState) -> bool:
+    """Decide exactly whether two states are the same vector."""
+    return first_difference(a, b) is None

@@ -122,45 +122,36 @@ class TestGaoStrategyState:
 
 
 class TestEveObservation:
-    def test_sign_consistency_enforced(self):
-        EveObservation(3, 1, 1)
+    def test_sign_follows_round(self):
+        assert EveObservation(3, 1).sign == 1
+        assert EveObservation(5, 1).sign == -1
         with pytest.raises(ValueError):
-            EveObservation(3, 1, -1)
-        with pytest.raises(ValueError):
-            EveObservation(4, 1, 1)
+            EveObservation(4, 1)
 
 
 class TestEveKnowledge:
     def test_duplicate_rounds_rejected(self):
         with pytest.raises(ValueError):
-            EveKnowledge(3, (EveObservation(3, 0, 1), EveObservation(3, 1, 1)))
+            EveKnowledge(3, (EveObservation(3, 0), EveObservation(3, 1)))
 
     def test_default_candidates(self):
-        knowledge = EveKnowledge(3, (EveObservation(3, 0, 1),))
+        knowledge = EveKnowledge(3, (EveObservation(3, 0),))
         assert knowledge.q1_candidates == frozenset({0, 1, 2})
 
     def test_hypothesis_maps_all_observations(self):
         knowledge = EveKnowledge(
-            3, (EveObservation(3, 0, 1), EveObservation(5, 1, -1))
+            3, (EveObservation(3, 0), EveObservation(5, 1))
         )
         assert knowledge.hypothesis(1) == {3: 2, 5: 2}
 
-    def test_candidates_must_be_nonempty(self):
-        with pytest.raises(ValueError):
-            EveKnowledge(3, (), q1_candidates=frozenset())
-
-    def test_resolved_must_be_candidate(self):
-        with pytest.raises(ValueError):
-            EveKnowledge(3, (), q1_candidates=frozenset({0, 1}), resolved_q1=2)
-
     def test_values_must_fit_dimension(self):
         with pytest.raises(ValueError):
-            EveKnowledge(2, (EveObservation(3, 2, 1),))
+            EveKnowledge(2, (EveObservation(3, 2),))
 
 
 class TestInferKeys:
     def knowledge(self):
-        return EveKnowledge(3, (EveObservation(3, 0, 1), EveObservation(5, 1, -1)))
+        return EveKnowledge(3, (EveObservation(3, 0), EveObservation(5, 1)))
 
     def test_single_odd_announcement_resolves(self):
         resolved, known = infer_keys(self.knowledge(), [(3, 2)])

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from qkdlab import cli
-from qkdlab.register import state_equals
+from qkdlab.register import PureState, state_equals
+from qkdlab.ring import zeta_pow
 
 
 def run_cli(capsys, *argv):
@@ -142,14 +143,40 @@ class TestVerifyPaper:
 
         def sabotaged(dim, key):
             stages = real(dim, key)
-            stages["Phi_1"] = stages["Phi_0"]  # wrong closed form for one stage
+            st = stages["Phi_1"]  # wrong closed form for one stage: times zeta
+            zeta = zeta_pow(dim, 1)
+            stages["Phi_1"] = PureState(
+                dim, st.wires, st.scale_exp, {b: amp * zeta for b, amp in st.terms.items()}
+            )
             return stages
 
         monkeypatch.setattr(cli, "eavesdrop_stage_states", sabotaged)
         code, out, _ = run_cli(capsys, "verify-paper", "--d", "3", "--key", "1,0,2,1,2")
         assert code == 3
         assert "Phi_1      FAIL" in out
-        assert "first failure at Phi_1" in out
+        assert "1 of 32 stage checks failed" in out
+        assert out.splitlines()[-1] == (
+            "first failure at Phi_1 (simulated != expected): "
+            "basis (a=0, b=0, k=1, e=0): (1) * 3^(-1/2) != (z) * 3^(-1/2)"
+        )
+
+    def test_missing_stage_exits_3(self, capsys, monkeypatch):
+        import qkdlab.closed_forms as cf
+
+        real = cf.eavesdrop_stage_states
+
+        def extra(dim, key):
+            stages = real(dim, key)
+            stages["Phi_9"] = stages["Phi_0"]  # a stage the session never records
+            return stages
+
+        monkeypatch.setattr(cli, "eavesdrop_stage_states", extra)
+        code, out, _ = run_cli(capsys, "verify-paper", "--d", "3", "--key", "1,0,2,1,2")
+        assert code == 3
+        assert "Phi_9      FAIL" in out
+        assert out.splitlines()[-1] == (
+            "first failure at Phi_9 (simulated != expected): missing from the transcript"
+        )
 
     def test_ignores_rounds_flag(self, capsys):
         # a 5-round session is always used, whatever --rounds says

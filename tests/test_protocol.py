@@ -183,6 +183,12 @@ class TestInterceptSession:
         assert session.rounds[1].eve_observation is not None
         assert session.rounds[2].eve_observation is None
 
+    @pytest.mark.parametrize("rounds", [{99}, {0, -2}, {1, 4}])
+    def test_attack_rounds_outside_session_rejected(self, rounds):
+        config = ProtocolConfig(dim=3, num_rounds=3, key=(0, 1, 2), rng_seed=4)
+        with pytest.raises(ValueError, match="outside the session"):
+            run_session(config, InterceptResend(rounds))
+
 
 class TestAdversaryContract:
     def test_transit_wire_must_survive(self):

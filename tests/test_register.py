@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -17,6 +18,7 @@ from qkdlab.register import (
     PureState,
     basis_state,
     bell_state,
+    first_difference,
     state_equals,
 )
 from qkdlab.ring import CycloElem, zeta_pow
@@ -357,6 +359,45 @@ class TestStateEquals:
         one = PureState(5, ("x",), 0, {(0,): CycloElem.one(5)})
         assert state_equals(one, PureState(5, ("x",), 1, {(0,): root5}))
         assert not state_equals(one, PureState(5, ("x",), 1, {(0,): -root5}))
+
+    def test_first_difference_agrees_with_dense_vectors(self):
+        # every ordered pair of stages on one wire set, the second with its wires
+        # reversed: None exactly when the vectors agree, else a basis where they differ
+        for x in STAGES3.values():
+            for y in STAGES3.values():
+                if set(x.wires) != set(y.wires):
+                    continue
+                y = y.reorder_wires(reversed(y.wires))
+                diff = first_difference(x, y)
+                vx, vy = state_vector(x), state_vector(y.reorder_wires(x.wires))
+                assert (diff is None) == np.allclose(vx, vy, atol=1e-9)
+                if diff is not None:
+                    labels = diff[len("basis ("):diff.index(")")].split(", ")
+                    assert [item.split("=")[0] for item in labels] == list(x.wires)
+                    idx = 0
+                    for item in labels:
+                        idx = idx * 3 + int(item.split("=")[1])
+                    assert abs(vx[idx] - vy[idx]) > 1e-9
+
+    def test_first_difference_line_is_exact(self):
+        bell = bell_state(3)
+        twisted = PureState(3, ("a", "b"), 1, {b: zeta_pow(3, 1) for b in bell.terms})
+        assert first_difference(twisted, bell) == "basis (a=0, b=0): (z) * 3^(-1/2) != (1) * 3^(-1/2)"
+        amp = CycloElem(3, (1, 2, 0))
+        a = PureState(3, ("x",), 0, {(0,): CycloElem.one(3), (1,): CycloElem.one(3)})
+        b = PureState(3, ("x",), 1, {(0,): amp, (1,): -amp})
+        assert first_difference(a, b) == "basis (x=0): (1) * 3^(-0/2) != (1 + 2*z) * 3^(-1/2)"
+        shrunk = PureState(3, ("x",), 0, {(0,): CycloElem.one(3)}, scale_sq=Fraction(1, 5))
+        assert first_difference(shrunk, basis_state(3, [("x", 0)])) == (
+            "basis (x=0): (1) * 3^(-0/2) * sqrt(1/5) != (1) * 3^(-0/2)"
+        )
+
+    def test_first_difference_keys_basis_by_first_states_wires(self):
+        p = basis_state(3, [("a", 1), ("b", 0)])
+        q = basis_state(3, [("b", 0), ("a", 2)])
+        assert first_difference(p, q) == "basis (a=1, b=0): (1) * 3^(-0/2) != (0) * 3^(-0/2)"
+        assert first_difference(q, p) == "basis (b=0, a=1): (0) * 3^(-0/2) != (1) * 3^(-0/2)"
+        assert first_difference(bell_state(3).reorder_wires(("b", "a")), bell_state(3)) is None
 
 
 class TestSerialization:
