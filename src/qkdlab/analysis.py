@@ -12,6 +12,7 @@ from .adversary import AdversaryStrategy, infer_keys
 from .protocol import (
     ProtocolConfig,
     SessionTranscript,
+    _decode,
     announce_subsequence,
     make_rng,
     run_round,
@@ -80,26 +81,14 @@ def _check_enumeration_bounds(dim: int, rounds: int) -> None:
         raise ValueError(f"exact enumeration supports at most {MAX_EXACT_ROUNDS} rounds")
 
 
-class _Postselect(AdversaryStrategy):
-    """Intercept-resend that keeps one given outcome instead of sampling it."""
-
-    kind = "intercept"
-
-    def __init__(self, outcome: int) -> None:
-        self.outcome = outcome
-
-    def on_transit(self, state, round_index, rng):
-        return [state.project(TRANSIT_WIRE, self.outcome)], self.outcome
-
-
 def _honest_prefix(dim: int, attack_round: int, key):
-    """Shared state before attack_round and that round's honest transcript."""
+    """attack_round's honest transcript and the generator that drove it."""
     rng = make_rng(0)
     st = bell_state(dim)
     for i in range(1, attack_round):
         st, _ = run_round(st, i, key[i - 1], None, rng)
     _, honest = run_round(st, attack_round, key[attack_round - 1], None, rng)
-    return st, honest, rng
+    return honest, rng
 
 
 def exact_next_round_error(dim: int, attack_round: int, key=None) -> Fraction:
@@ -116,15 +105,12 @@ def exact_next_round_error(dim: int, attack_round: int, key=None) -> Fraction:
     key = tuple(key) if key is not None else (0,) * rounds
     if len(key) < rounds:
         raise ValueError(f"need at least {rounds} key dits, got {len(key)}")
-    st, honest, rng = _honest_prefix(dim, attack_round, key)
+    honest, rng = _honest_prefix(dim, attack_round, key)
     transit = honest.stage_state("in_transit")
     target = key[attack_round]
     error = Fraction(0)
     for eve_outcome, p_eve in transit.measurement_distribution(TRANSIT_WIRE).items():
-        _, intercepted = run_round(
-            st, attack_round, key[attack_round - 1], _Postselect(eve_outcome), rng
-        )
-        decoded = intercepted.stage_state("post_decode")
+        decoded = _decode(transit.project(TRANSIT_WIRE, eve_outcome))
         for bob_outcome, p_bob in decoded.measurement_distribution(TRANSIT_WIRE).items():
             shared = decoded.project(TRANSIT_WIRE, bob_outcome).drop_wire(TRANSIT_WIRE)
             _, follow = run_round(shared, attack_round + 1, target, None, rng)
@@ -143,7 +129,7 @@ def exact_intercept_observation_distribution(
     key = tuple(key)
     if len(key) < attack_round:
         raise ValueError(f"need at least {attack_round} key dits, got {len(key)}")
-    _, honest, _ = _honest_prefix(dim, attack_round, key)
+    honest, _ = _honest_prefix(dim, attack_round, key)
     return honest.stage_state("in_transit").measurement_distribution(TRANSIT_WIRE)
 
 

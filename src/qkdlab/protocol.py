@@ -44,8 +44,6 @@ from .register import (
 
 SCHEMA_VERSION = "v1"
 
-GENERIC_STAGE_LABELS = ("pre_encode", "post_encode", "in_transit", "post_decode")
-
 
 class ProtocolViolationError(RuntimeError):
     """An adversary hook returned a state the round cannot continue from."""
@@ -131,6 +129,11 @@ def _display_order(wires) -> tuple[str, ...]:
     return tuple(known + extra)
 
 
+def _decode(state: PureState) -> PureState:
+    """Bob's left-shift of the transit qudit by his half: the post_decode state."""
+    return state.apply_controlled_shift(BOB_WIRE, TRANSIT_WIRE, "left")
+
+
 def run_round(
     state: PureState,
     round_index: int,
@@ -170,7 +173,7 @@ def run_round(
     else:
         stages.extend((f"{prefix}_{2 + i}", s) for i, s in enumerate(transit))
 
-    st = st.apply_controlled_shift(BOB_WIRE, TRANSIT_WIRE, "left")
+    st = _decode(st)
     stages.append((f"{prefix}_{2 + len(transit)}" if prefix else "post_decode", st))
 
     outcome, st, _ = st.measure_computational(TRANSIT_WIRE, rng)

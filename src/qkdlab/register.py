@@ -7,6 +7,15 @@ protocol engine produces, scale_sq stays 1 and the amplitudes stay
 integer vectors; the extra factor exists for collapses whose branch
 weight is not a power of d.
 
+The generalized Hadamard works on plain coefficients rather than ring
+elements: it adds each input amplitude's coefficients, rotated by the
+output's phase exponent, into one row of d ints or Fractions per output
+basis state, reduces each finished row modulo Phi_d, drops the zero rows
+and builds one CycloElem per surviving term.  It raises scale_exp by one
+and folds it back exactly: while scale_exp is at least 2 and d divides
+every reduced coefficient, all rows are divided by d and scale_exp drops
+by 2.
+
 Wires are plain string labels.  The four canonical protocol wires are
 Alice's and Bob's halves of the shared pair, the travelling key qudit,
 and the eavesdropper's ancilla.
@@ -16,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import CycloElem, rational_value, sqrt_rational
+from .ring import CycloElem, rational_value, reduce_coeffs, sqrt_rational
 
 Wire = str
 BasisTuple = tuple[int, ...]
@@ -138,44 +147,45 @@ class PureState:
     def apply_hadamard(self, wire: Wire, conjugate: bool = False) -> PureState:
         """Generalized Hadamard on one wire: |j> -> d**-1/2 sum_t zeta**(jt) |t>.
 
-        conjugate=True applies the entry-wise conjugate transform
-        (phases zeta**(-jt)).  The global exponent rises by one and is
-        folded back down when all resulting amplitudes divide by d.
+        conjugate=True applies the entry-wise conjugate transform (phases
+        zeta**(-jt)).  Each output basis state collects one plain row of d
+        coefficients: an input term whose wire holds j and whose amplitude
+        is sum_i c_i zeta**i adds c_i into row[(i + jt) % d] of output t
+        (row[(i - jt) % d] when conjugate).  The finished rows are reduced
+        modulo Phi_d and the zero rows dropped.  The global exponent rises
+        by one; then, while it is at least 2 and every reduced coefficient
+        is an int divisible by d, the rows are divided by d and the
+        exponent drops by 2.
         """
         idx = self.wire_index(wire)
         dim = self.dim
-        sign = -1 if conjugate else 1
-        acc: dict[BasisTuple, CycloElem] = {}
+        groups: dict[tuple[BasisTuple, BasisTuple], list] = {}
         for basis, amp in self.terms.items():
-            j = basis[idx]
-            prefix, suffix = basis[:idx], basis[idx + 1:]
-            for t in range(dim):
-                nb = prefix + (t,) + suffix
-                contrib = amp.mul_zeta(sign * j * t)
-                prev = acc.get(nb)
-                acc[nb] = contrib if prev is None else prev + contrib
-        state = PureState(dim, self.wires, self.scale_exp + 1, acc, self.scale_sq)
-        return state._reduce_scale()
-
-    def _reduce_scale(self) -> PureState:
-        """Divide all amplitudes by d and drop scale_exp by 2 while possible."""
-        dim, terms, s = self.dim, self.terms, self.scale_exp
-        while s >= 2 and terms:
-            divisible = all(
-                isinstance(c, int) and c % dim == 0
-                for amp in terms.values()
-                for c in amp.coeffs
-            )
-            if not divisible:
-                break
-            terms = {
-                b: CycloElem(dim, tuple(c // dim for c in amp.coeffs))
-                for b, amp in terms.items()
-            }
-            s -= 2
-        if s == self.scale_exp:
-            return self
-        return PureState(dim, self.wires, s, terms, self.scale_sq)
+            groups.setdefault((basis[:idx], basis[idx + 1:]), []).append((basis[idx], amp.coeffs))
+        reduced: dict[BasisTuple, tuple] = {}
+        for (prefix, suffix), members in groups.items():
+            rows = [[0] * dim for _ in range(dim)]
+            for j, coeffs in members:
+                step = (-j if conjugate else j) % dim
+                for i, c in enumerate(coeffs):
+                    if not c:
+                        continue
+                    for row in rows:
+                        row[i] += c
+                        i = (i + step) % dim
+            for t, row in enumerate(rows):
+                coeffs = reduce_coeffs(dim, row)
+                if any(coeffs):
+                    reduced[prefix + (t,) + suffix] = coeffs
+        scale_exp = self.scale_exp + 1
+        # a coefficient that d divides is an int: a non-integer Fraction never is
+        while scale_exp >= 2 and reduced and not any(
+            c % dim for coeffs in reduced.values() for c in coeffs
+        ):
+            reduced = {b: tuple(c // dim for c in coeffs) for b, coeffs in reduced.items()}
+            scale_exp -= 2
+        terms = {b: CycloElem(dim, coeffs) for b, coeffs in reduced.items()}
+        return PureState(dim, self.wires, scale_exp, terms, self.scale_sq)
 
     # -- measurement ---------------------------------------------------------
 
@@ -363,13 +373,6 @@ class DensityMatrixSlice:
         for i in range(self.dim):
             total = total + self.entries[i][i]
         return total
-
-    def is_hermitian(self) -> bool:
-        return all(
-            (self.entries[i][j] - self.entries[j][i].conj()).is_zero()
-            for i in range(self.dim)
-            for j in range(i, self.dim)
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DensityMatrixSlice):

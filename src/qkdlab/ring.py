@@ -12,7 +12,6 @@ remainder is the vector with its last coefficient folded away.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -43,11 +42,6 @@ def _norm_coeff(value: Coeff) -> Coeff:
         if type(value) is Fraction and value.denominator == 1
         else value
     )
-
-
-@lru_cache(maxsize=None)
-def _unit_roots(dim: int) -> tuple[complex, ...]:
-    return tuple(cmath.exp(2j * cmath.pi * t / dim) for t in range(dim))
 
 
 def _divide(poly: list, divisor: tuple[int, ...]) -> list:
@@ -91,6 +85,20 @@ def _modulus(dim: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     return divisor, phi, (0,) * (dim - phi)
 
 
+def reduce_coeffs(dim: int, coeffs: list) -> tuple:
+    """The canonical coefficient tuple of sum_t coeffs[t] * zeta**t.
+
+    coeffs holds d ints or Fractions and is overwritten with the
+    remainder modulo Phi_d; integer-valued Fractions come back as ints.
+    """
+    divisor, phi, zeros = _modulus(dim)
+    if any(coeffs[phi:]):
+        _divide(coeffs, divisor)
+    if Fraction in map(type, coeffs):
+        return tuple(map(_norm_coeff, coeffs))
+    return tuple(coeffs)
+
+
 class CycloElem:
     """One element of the order-d cyclotomic ring with rational coefficients.
 
@@ -103,7 +111,10 @@ class CycloElem:
     def __init__(self, dim: int, coeffs) -> None:
         if dim < 2:
             raise ValueError(f"dimension must be at least 2, got {dim}")
-        coeffs = tuple(_as_coeff(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        # all-int coefficients, the common case, need no per-item check
+        if not {int}.issuperset(map(type, coeffs)):
+            coeffs = tuple(_as_coeff(c) for c in coeffs)
         if len(coeffs) != dim:
             raise ValueError(f"expected {dim} coefficients, got {len(coeffs)}")
         self.dim = dim
@@ -129,19 +140,12 @@ class CycloElem:
     def from_rational(cls, dim: int, value: Coeff) -> CycloElem:
         return cls(dim, (value,) + (0,) * (dim - 1))
 
-    @property
-    def is_canonical(self) -> bool:
-        _, phi, zeros = _modulus(self.dim)
-        return self.coeffs[phi:] == zeros
-
     def canonical_reduce(self) -> CycloElem:
         """The remainder modulo Phi_d: zero coefficients from index phi(d) up."""
-        divisor, phi, zeros = _modulus(self.dim)
+        _, phi, zeros = _modulus(self.dim)
         if self.coeffs[phi:] == zeros:
             return self
-        acc = list(self.coeffs)
-        _divide(acc, divisor)
-        return CycloElem._raw(self.dim, tuple(map(_norm_coeff, acc)))
+        return CycloElem._raw(self.dim, reduce_coeffs(self.dim, list(self.coeffs)))
 
     def _coerce(self, other: object) -> CycloElem | None:
         if isinstance(other, CycloElem):
@@ -218,10 +222,6 @@ class CycloElem:
 
     def is_zero(self) -> bool:
         return not any(self.canonical_reduce().coeffs)
-
-    def to_complex(self) -> complex:
-        roots = _unit_roots(self.dim)
-        return sum((c * roots[t] for t, c in enumerate(self.coeffs) if c), 0j)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CycloElem) and other.dim != self.dim:

@@ -1,19 +1,80 @@
-"""Dense-vector oracle used to cross-check the sparse exact engine.
+"""Oracles used to cross-check the sparse exact engine.
 
-Everything here is deliberately independent of the implementation under
-test: states become flat numpy arrays indexed by mixed-radix basis
+The dense-vector oracle is deliberately independent of the implementation
+under test: states become flat numpy arrays indexed by mixed-radix basis
 tuples, and gates are applied by explicit loops over those arrays.
+reference_hadamard is the exact per-term Hadamard built from ring
+operations, which the engine's row-accumulating one must match term for
+term.  The remaining helpers are checks that only the tests need.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from qkdlab.register import PureState
-from qkdlab.ring import CycloElem
+from qkdlab.register import DensityMatrixSlice, PureState
+from qkdlab.ring import CycloElem, cyclotomic_polynomial
+
+#: stage labels of a round that no strategy with a stage prefix touched
+GENERIC_STAGE_LABELS = ("pre_encode", "post_encode", "in_transit", "post_decode")
+
+
+@lru_cache(maxsize=None)
+def _unit_roots(dim: int) -> tuple[complex, ...]:
+    return tuple(cmath.exp(2j * cmath.pi * t / dim) for t in range(dim))
+
+
+def to_complex(elem: CycloElem) -> complex:
+    """The complex value of a ring element."""
+    roots = _unit_roots(elem.dim)
+    return sum((c * roots[t] for t, c in enumerate(elem.coeffs) if c), 0j)
+
+
+def is_canonical(elem: CycloElem) -> bool:
+    """True when the coefficients from index phi(d) up are zero."""
+    phi = len(cyclotomic_polynomial(elem.dim)) - 1
+    return not any(elem.coeffs[phi:])
+
+
+def is_hermitian(rho: DensityMatrixSlice) -> bool:
+    return all(
+        (rho.entries[i][j] - rho.entries[j][i].conj()).is_zero()
+        for i in range(rho.dim)
+        for j in range(i, rho.dim)
+    )
+
+
+def reference_hadamard(state: PureState, wire: str, conjugate: bool = False) -> PureState:
+    """Generalized Hadamard term by term through CycloElem.mul_zeta and +.
+
+    Every input term adds amp * zeta**(+-jt) to output t, each partial
+    sum reduced modulo Phi_d.  Then, while scale_exp is at least 2 and
+    every coefficient is an int divisible by d, the amplitudes are divided
+    by d and scale_exp drops by 2.
+    """
+    idx = state.wire_index(wire)
+    dim = state.dim
+    sign = -1 if conjugate else 1
+    acc: dict[tuple[int, ...], CycloElem] = {}
+    for basis, amp in state.terms.items():
+        j = basis[idx]
+        for t in range(dim):
+            nb = basis[:idx] + (t,) + basis[idx + 1:]
+            contrib = amp.mul_zeta(sign * j * t)
+            prev = acc.get(nb)
+            acc[nb] = contrib if prev is None else prev + contrib
+    summed = PureState(dim, state.wires, state.scale_exp + 1, acc, state.scale_sq)
+    terms, scale_exp = summed.terms, summed.scale_exp
+    while scale_exp >= 2 and terms and all(
+        isinstance(c, int) and c % dim == 0 for amp in terms.values() for c in amp.coeffs
+    ):
+        terms = {b: CycloElem(dim, tuple(c // dim for c in amp.coeffs)) for b, amp in terms.items()}
+        scale_exp -= 2
+    return PureState(dim, state.wires, scale_exp, terms, state.scale_sq)
 
 
 def state_vector(state: PureState) -> np.ndarray:
@@ -25,7 +86,7 @@ def state_vector(state: PureState) -> np.ndarray:
         idx = 0
         for v in basis:
             idx = idx * state.dim + v
-        vec[idx] = amp.to_complex() * scale
+        vec[idx] = to_complex(amp) * scale
     return vec
 
 
@@ -87,6 +148,29 @@ def random_pure_state(rng, dim: int, wires: tuple[str, ...], max_terms: int = 6)
         coeffs[phase] = Fraction(num, den)
         terms[basis] = CycloElem(dim, coeffs)
     return PureState(dim, wires, int(rng.integers(0, 3)), terms)
+
+
+def random_ring_state(
+    rng, dim: int, wires: tuple[str, ...], max_terms: int = 8, fractions: bool = True
+) -> PureState:
+    """A random unnormalized state whose amplitudes are general ring elements.
+
+    Each amplitude has one to three nonzero coefficients; with fractions,
+    some of them are non-integer Fractions.  scale_exp lies in 0..3.
+    """
+    n_terms = min(int(rng.integers(1, max_terms + 1)), dim ** len(wires))
+    terms = {}
+    while len(terms) < n_terms:
+        basis = tuple(int(x) for x in rng.integers(0, dim, len(wires)))
+        if basis in terms:
+            continue
+        coeffs = [0] * dim
+        for i in rng.choice(dim, size=min(dim, int(rng.integers(1, 4))), replace=False):
+            num = int(rng.integers(-4, 5)) or 1
+            den = int(rng.choice((1, 1, 2, 3))) if fractions else 1
+            coeffs[int(i)] = Fraction(num, den)
+        terms[basis] = CycloElem(dim, coeffs)
+    return PureState(dim, wires, int(rng.integers(0, 4)), terms)
 
 
 def assert_vectors_close(actual: np.ndarray, expected: np.ndarray, tol: float = 1e-9):

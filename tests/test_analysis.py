@@ -16,6 +16,7 @@ from qkdlab.analysis import (
     report_to_json,
 )
 from qkdlab.protocol import ProtocolConfig, announce_subsequence, parse_announce, run_session
+from qkdlab.register import PureState
 
 
 def session_for(dim, key, adversary=None, seed=0):
@@ -97,6 +98,19 @@ class TestExactNextRoundError:
     def test_explicit_key_does_not_matter(self):
         for key in ((0, 0, 0), (2, 1, 0), (1, 1, 1)):
             assert exact_next_round_error(3, 2, key=key) == Fraction(2, 3)
+
+    def test_branches_reuse_the_honest_transit_stage(self, monkeypatch):
+        calls = []
+        original = PureState.apply_hadamard
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PureState, "apply_hadamard", counted)
+        assert exact_next_round_error(3, 1) == Fraction(2, 3)
+        # round 1 once (2 Hadamards), round 2 once per Eve/Bob branch (3 x 2)
+        assert len(calls) == 8
 
     def test_bounds_enforced(self):
         assert exact_next_round_error(4, 1) == Fraction(3, 4)

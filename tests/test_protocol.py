@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import GENERIC_STAGE_LABELS
 from qkdlab.adversary import AdversaryStrategy, GaoAttack, InterceptResend
 from qkdlab.protocol import (
-    GENERIC_STAGE_LABELS,
     ProtocolConfig,
     ProtocolViolationError,
     announce_subsequence,

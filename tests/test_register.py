@@ -8,7 +8,10 @@ from helpers import (
     assert_vectors_close,
     dense_controlled_shift,
     dense_hadamard,
+    is_hermitian,
     random_pure_state,
+    random_ring_state,
+    reference_hadamard,
     state_vector,
 )
 from qkdlab.closed_forms import eavesdrop_stage_states
@@ -191,6 +194,50 @@ class TestHadamard:
                 assert st.apply_hadamard("y", conjugate=True).norm_squared() == norm
                 assert st.apply_controlled_shift("x", "y", "right").norm_squared() == norm
 
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_matches_reference_hadamard(self, dim):
+        rng = make_rng(100 + dim)
+        wires = ("x", "y", "z")
+        folded = 0
+        for _ in range(6):
+            integral = random_ring_state(rng, dim, wires, fractions=False)
+            inputs = [
+                # non-integer Fraction coefficients, as a reloaded transcript holds them
+                PureState.from_json_dict(random_ring_state(rng, dim, wires).to_json_dict()),
+                integral,
+                # transforming this wire again with the conjugate gate folds back
+                reference_hadamard(integral, wires[int(rng.integers(0, 3))]),
+                # every coefficient a multiple of d at scale_exp >= 2
+                PureState(
+                    dim,
+                    wires,
+                    int(rng.integers(2, 4)),
+                    {b: amp * dim for b, amp in integral.terms.items()},
+                ),
+            ]
+            for st in inputs:
+                for wire in wires:
+                    for conjugate in (False, True):
+                        got = st.apply_hadamard(wire, conjugate=conjugate)
+                        want = reference_hadamard(st, wire, conjugate=conjugate)
+                        assert got.to_json_dict() == want.to_json_dict()
+                        folded += got.scale_exp < st.scale_exp + 1
+        assert folded
+
+    def test_fold_reads_reduced_rows(self):
+        # sum_t zeta^t |t> at d=4: the conjugate transform's unreduced row for
+        # |1> is [2, 0, -2, 0], which 4 does not divide, but modulo
+        # Phi_4 = 1 + x^2 it is [4, 0, 0, 0], so the result folds to |1>
+        st = PureState(4, ("x", "y", "z"), 1, {(t, 0, 2): zeta_pow(4, t) for t in range(4)})
+        unreduced = [0] * 4
+        for (t, _, _), amp in st.terms.items():
+            for i, c in enumerate(amp.coeffs):
+                unreduced[(i - t) % 4] += c
+        assert unreduced == [2, 0, -2, 0]
+        got = st.apply_hadamard("x", conjugate=True)
+        assert got.to_json_dict() == reference_hadamard(st, "x", conjugate=True).to_json_dict()
+        assert got.to_json_dict() == basis_state(4, [("x", 1), ("y", 0), ("z", 2)]).to_json_dict()
+
 
 class TestFourierIdentity:
     @pytest.mark.parametrize("dim", (2, 3, 5, 7))
@@ -299,7 +346,7 @@ class TestReducedDensity:
         rng = make_rng(18)
         st = random_pure_state(rng, 3, ("x", "y"))
         rho = st.reduced_density("x")
-        assert rho.is_hermitian()
+        assert is_hermitian(rho)
 
 
 class TestStateEquals:

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import is_canonical, to_complex
 from qkdlab.ring import (
     CycloElem,
     cyclotomic_polynomial,
     rational_value,
+    reduce_coeffs,
     sqrt_rational,
     zeta_pow,
 )
@@ -118,7 +120,7 @@ class TestCanonicalReduce:
     def test_composite_dim_reduces_modulo_phi(self):
         # 1 + z + z^2 + z^3 = (1 + z)(1 + z^2) and Phi_4 = 1 + x^2
         elem = cyclo(4, 1, 1, 1, 1)
-        assert not elem.is_canonical
+        assert not is_canonical(elem)
         assert elem.canonical_reduce().coeffs == (0, 0, 0, 0)
         # Phi_6 = 1 - x + x^2, so z^2 = z - 1 and z^5 = 1 - z
         assert zeta_pow(6, 2).coeffs == (-1, 1, 0, 0, 0, 0)
@@ -130,9 +132,16 @@ class TestCanonicalReduce:
     @given(cyclo_elems())
     def test_idempotent_and_value_preserving(self, elem):
         reduced = elem.canonical_reduce()
-        assert reduced.is_canonical
+        assert is_canonical(reduced)
         assert reduced.canonical_reduce().coeffs == reduced.coeffs
-        assert abs(reduced.to_complex() - elem.to_complex()) < 1e-12
+        assert abs(to_complex(reduced) - to_complex(elem)) < 1e-12
+
+    @settings(max_examples=200)
+    @given(cyclo_elems())
+    def test_reduce_coeffs_matches_canonical_reduce(self, elem):
+        coeffs = reduce_coeffs(elem.dim, list(elem.coeffs))
+        assert coeffs == elem.canonical_reduce().coeffs
+        assert all(type(c) is int or c.denominator != 1 for c in coeffs)
 
 
 class TestZeroAndComplex:
@@ -140,10 +149,10 @@ class TestZeroAndComplex:
         assert (cyclo(3, 1, 1, 1)).is_zero()
 
     def test_one_to_complex(self):
-        assert CycloElem.one(3).to_complex() == 1 + 0j
+        assert to_complex(CycloElem.one(3)) == 1 + 0j
 
     def test_dim4_zeta_is_i(self):
-        z = zeta_pow(4, 1).to_complex()
+        z = to_complex(zeta_pow(4, 1))
         assert abs(z - 1j) < 1e-12
 
     def test_composite_zero_test_exact(self):
@@ -163,7 +172,7 @@ class TestZeroAndComplex:
             float(c) * cmath.exp(2j * cmath.pi * t / elem.dim)
             for t, c in enumerate(elem.coeffs)
         )
-        assert abs(elem.to_complex() - direct) < 1e-9
+        assert abs(to_complex(elem) - direct) < 1e-9
 
 
 class TestConjugation:
@@ -175,7 +184,7 @@ class TestConjugation:
     @settings(max_examples=150)
     @given(cyclo_elems())
     def test_complex_conjugate_value(self, elem):
-        assert abs(elem.conj().to_complex() - elem.to_complex().conjugate()) < 1e-9
+        assert abs(to_complex(elem.conj()) - to_complex(elem).conjugate()) < 1e-9
 
     @settings(max_examples=100)
     @given(st.data())
@@ -281,7 +290,7 @@ class TestSqrtRational:
             if root is None:
                 continue
             assert root * root == value
-            assert abs(root.to_complex() - math.sqrt(value)) < 1e-9
+            assert abs(to_complex(root) - math.sqrt(value)) < 1e-9
 
     def test_field_membership(self):
         assert sqrt_rational(3, 3) is None  # only sqrt(-3) lies in Q(zeta_3)
