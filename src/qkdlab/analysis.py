@@ -1,4 +1,10 @@
-"""Session metrics, exact disturbance enumeration, and Monte-Carlo experiments."""
+"""Session metrics, exact disturbance enumeration, and Monte-Carlo experiments.
+
+The exact enumerators never sample: they take each round up to Bob's
+measurement from protocol._transmit, as run_round does, and branch on
+every outcome with measurement_distribution and project.  They take any
+dimension and attack round.
+"""
 
 from __future__ import annotations
 
@@ -13,16 +19,12 @@ from .protocol import (
     ProtocolConfig,
     SessionTranscript,
     _decode,
+    _transmit,
     announce_subsequence,
     make_rng,
-    run_round,
     run_session,
 )
-from .register import TRANSIT_WIRE, bell_state
-
-#: enumeration guardrails: beyond this, exact branch counting is impractical
-MAX_EXACT_DIM = 7
-MAX_EXACT_ROUNDS = 6
+from .register import TRANSIT_WIRE, PureState, bell_state
 
 
 @dataclass(frozen=True)
@@ -74,21 +76,25 @@ def compute_metrics(session: SessionTranscript, true_key) -> SessionMetrics:
 # -- exact enumeration -----------------------------------------------------------
 
 
-def _check_enumeration_bounds(dim: int, rounds: int) -> None:
-    if dim > MAX_EXACT_DIM:
-        raise ValueError(f"exact enumeration supports dimensions up to {MAX_EXACT_DIM}")
-    if rounds > MAX_EXACT_ROUNDS:
-        raise ValueError(f"exact enumeration supports at most {MAX_EXACT_ROUNDS} rounds")
+_HONEST = AdversaryStrategy()
 
 
-def _honest_prefix(dim: int, attack_round: int, key):
-    """attack_round's honest transcript and the generator that drove it."""
-    rng = make_rng(0)
+def _honest_transit(dim: int, attack_round: int, key, rounds: int) -> PureState:
+    """attack_round's in_transit state after honest rounds 1..attack_round-1.
+
+    key must hold at least rounds dits.  An honest round decodes the key
+    dit in every term, so no measurement is needed.
+    """
+    if attack_round < 1:
+        raise ValueError(f"attack_round must be positive, got {attack_round}")
+    if len(key) < rounds:
+        raise ValueError(f"need at least {rounds} key dits, got {len(key)}")
     st = bell_state(dim)
     for i in range(1, attack_round):
-        st, _ = run_round(st, i, key[i - 1], None, rng)
-    _, honest = run_round(st, attack_round, key[attack_round - 1], None, rng)
-    return honest, rng
+        stages, _ = _transmit(st, i, key[i - 1], _HONEST, None)
+        st = stages[-1][1].drop_wire(TRANSIT_WIRE)
+    stages, _ = _transmit(st, attack_round, key[attack_round - 1], _HONEST, None)
+    return dict(stages)["in_transit"]
 
 
 def exact_next_round_error(dim: int, attack_round: int, key=None) -> Fraction:
@@ -98,23 +104,17 @@ def exact_next_round_error(dim: int, attack_round: int, key=None) -> Fraction:
     exact Born weights; no sampling is involved.  The result does not
     depend on the key, which defaults to all zeros.
     """
-    if attack_round < 1:
-        raise ValueError(f"attack_round must be positive, got {attack_round}")
     rounds = attack_round + 1
-    _check_enumeration_bounds(dim, rounds)
     key = tuple(key) if key is not None else (0,) * rounds
-    if len(key) < rounds:
-        raise ValueError(f"need at least {rounds} key dits, got {len(key)}")
-    honest, rng = _honest_prefix(dim, attack_round, key)
-    transit = honest.stage_state("in_transit")
+    transit = _honest_transit(dim, attack_round, key, rounds)
     target = key[attack_round]
     error = Fraction(0)
     for eve_outcome, p_eve in transit.measurement_distribution(TRANSIT_WIRE).items():
         decoded = _decode(transit.project(TRANSIT_WIRE, eve_outcome))
         for bob_outcome, p_bob in decoded.measurement_distribution(TRANSIT_WIRE).items():
             shared = decoded.project(TRANSIT_WIRE, bob_outcome).drop_wire(TRANSIT_WIRE)
-            _, follow = run_round(shared, attack_round + 1, target, None, rng)
-            dist = follow.stage_state("post_decode").measurement_distribution(TRANSIT_WIRE)
+            follow, _ = _transmit(shared, rounds, target, _HONEST, None)
+            dist = follow[-1][1].measurement_distribution(TRANSIT_WIRE)
             error += p_eve * p_bob * (1 - dist.get(target, Fraction(0)))
     return error
 
@@ -123,14 +123,8 @@ def exact_intercept_observation_distribution(
     dim: int, attack_round: int, key
 ) -> dict[int, Fraction]:
     """Exact distribution of the value an interceptor reads in transit."""
-    if attack_round < 1:
-        raise ValueError(f"attack_round must be positive, got {attack_round}")
-    _check_enumeration_bounds(dim, attack_round)
-    key = tuple(key)
-    if len(key) < attack_round:
-        raise ValueError(f"need at least {attack_round} key dits, got {len(key)}")
-    honest, _ = _honest_prefix(dim, attack_round, key)
-    return honest.stage_state("in_transit").measurement_distribution(TRANSIT_WIRE)
+    transit = _honest_transit(dim, attack_round, tuple(key), attack_round)
+    return transit.measurement_distribution(TRANSIT_WIRE)
 
 
 # -- Monte-Carlo -----------------------------------------------------------------

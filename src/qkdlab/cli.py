@@ -20,8 +20,6 @@ import sys
 
 from .adversary import GaoAttack, InterceptResend
 from .analysis import (
-    MAX_EXACT_DIM,
-    MAX_EXACT_ROUNDS,
     compute_metrics,
     exact_next_round_error,
     monte_carlo,
@@ -89,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--intercept-rounds",
         type=_dit_list,
         default=None,
-        help="rounds the interceptor measures (default: all)",
+        help="rounds the interceptor measures, with --attack intercept (default: all)",
     )
     run.add_argument(
         "--announce",
@@ -118,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--intercept-rounds",
         type=_dit_list,
         default=None,
-        help="rounds the interceptor measures (default: all)",
+        help="rounds the interceptor measures, with --attack intercept (default: all)",
     )
     experiment.add_argument(
         "--announce",
@@ -169,6 +167,8 @@ def _make_config(args, parser, rounds=None) -> ProtocolConfig:
 
 
 def _make_adversary(args, parser, num_rounds: int):
+    if args.intercept_rounds is not None and args.attack != "intercept":
+        parser.error("--intercept-rounds needs --attack intercept")
     if args.attack == "none":
         return None
     if args.attack == "intercept":
@@ -253,15 +253,9 @@ def cmd_experiment(args, parser) -> int:
     announce = _parse_announce(args, parser, config.num_rounds)
     report = monte_carlo(config, adversary, args.trials, config.rng_seed, announce=announce)
     if args.attack == "intercept":
-        attack_round = (
-            min(args.intercept_rounds) if args.intercept_rounds else 1
-        )
-        # the exact add-on enumerates rounds 1..attack_round+1
-        if (
-            attack_round < config.num_rounds
-            and config.dim <= MAX_EXACT_DIM
-            and attack_round + 1 <= MAX_EXACT_ROUNDS
-        ):
+        attack_round = min(args.intercept_rounds or (1,))
+        # the exact add-on needs a round after the first intercepted one
+        if attack_round < config.num_rounds:
             exact = exact_next_round_error(config.dim, attack_round)
             p = float(exact)
             report = dataclasses.replace(

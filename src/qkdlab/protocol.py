@@ -8,8 +8,10 @@ measures it.  An honest channel reproduces the key dit exactly and
 leaves the shared pair in its initial entangled state, which is reused
 by the next round.
 
-run_round is the one place that knows the steps of a round and names
-its stages.  Transcripts snapshot the state at labelled stages.  Honest
+_transmit is the one place that knows the steps of a round up to Bob's
+measurement and names their stages; run_round adds the measurement (and
+the psi_<i>_1 stage after it), and the exact enumerators branch on it
+instead.  Transcripts snapshot the state at labelled stages.  Honest
 and intercepted rounds use the generic labels pre_encode / post_encode /
 in_transit / post_decode; rounds attacked by the ancilla strategy use
 the per-round families psi_<i>_0, Phi_0..3 / Psi_0..3 / Omega_0..4 /
@@ -134,21 +136,20 @@ def _decode(state: PureState) -> PureState:
     return state.apply_controlled_shift(BOB_WIRE, TRANSIT_WIRE, "left")
 
 
-def run_round(
+def _transmit(
     state: PureState,
     round_index: int,
     key_dit: int,
-    adversary: AdversaryStrategy | None,
+    strategy: AdversaryStrategy,
     rng,
-) -> tuple[PureState, RoundTranscript]:
-    """Advance the shared state by one protocol round.
+) -> tuple[list[tuple[str, PureState]], int | None]:
+    """A round up to Bob's measurement: its labelled stages and the adversary's value.
 
     Steps: shared basis change (with the adversary's basis hook at the
     same point), adjoin the transit qudit in |key_dit>, Alice's
-    right-shift, the adversary's transit hook, Bob's left-shift, Bob's
-    measurement, and removal of the consumed transit wire.
+    right-shift, the adversary's transit hook and Bob's left-shift, whose
+    result is the last stage.
     """
-    strategy = adversary if adversary is not None else AdversaryStrategy()
     prefix = strategy.stage_prefix(round_index)
     stages: list[tuple[str, PureState]] = []
 
@@ -175,10 +176,25 @@ def run_round(
 
     st = _decode(st)
     stages.append((f"{prefix}_{2 + len(transit)}" if prefix else "post_decode", st))
+    return stages, observation
 
-    outcome, st, _ = st.measure_computational(TRANSIT_WIRE, rng)
+
+def run_round(
+    state: PureState,
+    round_index: int,
+    key_dit: int,
+    adversary: AdversaryStrategy | None,
+    rng,
+) -> tuple[PureState, RoundTranscript]:
+    """Advance the shared state by one protocol round.
+
+    _transmit, then Bob's measurement and removal of the consumed transit wire.
+    """
+    strategy = adversary if adversary is not None else AdversaryStrategy()
+    stages, observation = _transmit(state, round_index, key_dit, strategy, rng)
+    outcome, st, _ = stages[-1][1].measure_computational(TRANSIT_WIRE, rng)
     st = st.drop_wire(TRANSIT_WIRE)
-    if prefix is not None:
+    if strategy.stage_prefix(round_index) is not None:
         stages.append((f"psi_{round_index}_1", st))
 
     transcript = RoundTranscript(round_index, tuple(stages), outcome, observation)

@@ -16,6 +16,11 @@ and folds it back exactly: while scale_exp is at least 2 and d divides
 every reduced coefficient, all rows are divided by d and scale_exp drops
 by 2.
 
+Born weights (|amplitude|**2 summed per value of a wire) are computed in
+one place, which norm_squared, measurement_distribution, project and
+measure_computational share; a collapse divides scale_sq by the branch
+weight, moves its d-powers into scale_exp and builds one state.
+
 Wires are plain string labels.  The four canonical protocol wires are
 Alice's and Bob's halves of the shared pair, the travelling key qudit,
 and the eavesdropper's ancilla.
@@ -189,11 +194,14 @@ class PureState:
 
     # -- measurement ---------------------------------------------------------
 
-    def _branch_weights(self, wire: Wire) -> dict[int, Fraction]:
-        idx = self.wire_index(wire)
-        sums: dict[int, CycloElem] = {}
-        for basis, amp in self.terms.items():
-            v = basis[idx]
+    def _branch_weights(self, idx: int | None, terms=None) -> dict:
+        """Unnormalized Born weight of each value wire idx takes among terms.
+
+        terms defaults to all terms; idx None puts them in one branch, keyed None.
+        """
+        sums: dict = {}
+        for basis, amp in (self.terms if terms is None else terms).items():
+            v = None if idx is None else basis[idx]
             contrib = amp * amp.conj()
             prev = sums.get(v)
             sums[v] = contrib if prev is None else prev + contrib
@@ -202,11 +210,11 @@ class PureState:
 
     def measurement_distribution(self, wire: Wire) -> dict[int, Fraction]:
         """Exact Born probabilities for a computational measurement of wire."""
-        weights = self._branch_weights(wire)
-        total = sum(weights.values())
-        if total == 0:
+        weights = self._branch_weights(self.wire_index(wire))
+        if not weights:
             raise ValueError("cannot measure a zero state")
-        return {v: w / total for v, w in sorted(weights.items()) if w}
+        total = sum(weights.values())
+        return {v: w / total for v, w in sorted(weights.items())}
 
     def project(self, wire: Wire, outcome: int) -> PureState:
         """Collapse onto one outcome and renormalize."""
@@ -216,49 +224,38 @@ class PureState:
         branch = {b: a for b, a in self.terms.items() if b[idx] == outcome}
         if not branch:
             raise ValueError(f"outcome {outcome} has zero amplitude on wire {wire!r}")
-        state = PureState(self.dim, self.wires, self.scale_exp, branch, self.scale_sq)
-        norm = state.norm_squared()
-        return PureState(
-            self.dim, self.wires, self.scale_exp, branch, self.scale_sq / norm
-        )._fold_scale_sq()
+        return self._collapse(branch, self._branch_weights(None, branch)[None])
 
-    def _fold_scale_sq(self) -> PureState:
-        """Move any d-power content of scale_sq into the scale exponent."""
-        dim = self.dim
-        num, den = self.scale_sq.numerator, self.scale_sq.denominator
-        shift = 0
-        while num % dim == 0:
+    def _collapse(self, branch: dict, weight: Fraction) -> PureState:
+        """The branch terms renormalized by their weight, d-powers moved into scale_exp."""
+        dim, scale_exp = self.dim, self.scale_exp
+        scale_sq = self.scale_sq / weight
+        num, den = scale_sq.numerator, scale_sq.denominator
+        while scale_exp and num % dim == 0:
             num //= dim
-            shift += 1
+            scale_exp -= 1
         while den % dim == 0:
             den //= dim
-            shift -= 1
-        s = self.scale_exp - shift
-        rest = Fraction(num, den)
-        if s < 0:
-            rest *= Fraction(dim) ** (-s)
-            s = 0
-        if s == self.scale_exp and rest == self.scale_sq:
-            return self
-        return PureState(dim, self.wires, s, self.terms, rest)
+            scale_exp += 1
+        return PureState(dim, self.wires, scale_exp, branch, Fraction(num, den))
 
     def measure_computational(self, wire: Wire, rng) -> tuple[int, PureState, Fraction]:
         """Sample an outcome with exact Born weights; rng supplies one uniform draw.
 
         Returns (outcome, collapsed renormalized state, exact probability).
         """
-        dist = self.measurement_distribution(wire)
-        u = Fraction(rng.random())
-        cumulative = Fraction(0)
-        outcome = None
-        for v, p in dist.items():
-            cumulative += p
-            if u < cumulative:
-                outcome = v
+        idx = self.wire_index(wire)
+        weights = self._branch_weights(idx)
+        if not weights:
+            raise ValueError("cannot measure a zero state")
+        total = sum(weights.values())
+        u = Fraction(rng.random()) * total  # u < total: the loop always breaks
+        for outcome, w in sorted(weights.items()):
+            if u < w:
                 break
-        if outcome is None:  # guards against cumulative rounding never triggering
-            outcome = next(reversed(dist))
-        return outcome, self.project(wire, outcome), dist[outcome]
+            u -= w
+        branch = {b: a for b, a in self.terms.items() if b[idx] == outcome}
+        return outcome, self._collapse(branch, w), w / total
 
     def deterministic_outcome(self, wire: Wire) -> int | None:
         """The single value wire takes in every term, or None if it varies."""
@@ -282,10 +279,7 @@ class PureState:
     # -- aggregates ----------------------------------------------------------
 
     def norm_squared(self) -> Fraction:
-        total = CycloElem.zero(self.dim)
-        for amp in self.terms.values():
-            total = total + amp * amp.conj()
-        return self.scale_sq * rational_value(total) / Fraction(self.dim) ** self.scale_exp
+        return sum(self._branch_weights(None).values(), Fraction(0))
 
     def reduced_density(self, wire: Wire) -> DensityMatrixSlice:
         """Trace out everything but one wire."""

@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-Rational = Fraction
-
 Coeff = int | Fraction
 
 

@@ -90,8 +90,8 @@ class TestComputeMetrics:
 
 
 class TestExactNextRoundError:
-    @pytest.mark.parametrize("dim", (2, 3, 5))
-    @pytest.mark.parametrize("attack_round", (1, 2))
+    @pytest.mark.parametrize("dim", (2, 3, 5, 7, 11, 13))
+    @pytest.mark.parametrize("attack_round", (1, 2, 6))
     def test_matches_closed_form(self, dim, attack_round):
         assert exact_next_round_error(dim, attack_round) == Fraction(dim - 1, dim)
 
@@ -112,12 +112,23 @@ class TestExactNextRoundError:
         # round 1 once (2 Hadamards), round 2 once per Eve/Bob branch (3 x 2)
         assert len(calls) == 8
 
-    def test_bounds_enforced(self):
-        assert exact_next_round_error(4, 1) == Fraction(3, 4)
-        with pytest.raises(ValueError):
-            exact_next_round_error(11, 1)
-        with pytest.raises(ValueError):
-            exact_next_round_error(3, 6)
+    def test_branches_without_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the enumeration sampled an outcome")
+
+        monkeypatch.setattr(PureState, "measure_computational", refuse)
+        assert exact_next_round_error(3, 1) == Fraction(2, 3)
+        assert exact_intercept_observation_distribution(3, 2, (1, 2)) == {
+            v: Fraction(1, 3) for v in range(3)
+        }
+
+    def test_no_enumeration_bounds(self):
+        assert exact_next_round_error(11, 1) == Fraction(10, 11)
+        assert exact_next_round_error(3, 6) == Fraction(2, 3)
+        with pytest.raises(ValueError, match="attack_round must be positive"):
+            exact_next_round_error(3, 0)
+        with pytest.raises(ValueError, match="need at least 3 key dits"):
+            exact_next_round_error(3, 2, key=(0, 1))
 
 
 class TestObservationDistribution:

@@ -206,21 +206,25 @@ class TestExperiment:
         assert json.loads(out)[0]["exact_next_round_error"] == "3/4"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, exact",
         [
-            ("--d", "11", "--rounds", "2"),
-            ("--d", "3", "--rounds", "8", "--intercept-rounds", "6"),
+            (("--d", "11", "--rounds", "2", "--attack", "intercept"), "10/11"),
+            (("--d", "3", "--rounds", "8", "--attack", "intercept",
+              "--intercept-rounds", "6"), "2/3"),
+            # no round follows the only intercepted one
+            (("--d", "3", "--rounds", "3", "--attack", "intercept",
+              "--intercept-rounds", "3"), None),
+            (("--d", "3", "--rounds", "3", "--attack", "gao"), None),
         ],
+        ids=["d11", "intercept-round-6", "last-round-only", "gao"],
     )
-    def test_exact_fields_null_outside_enumeration_bounds(self, capsys, argv):
-        code, out, _ = run_cli(
-            capsys, "experiment", *argv, "--attack", "intercept", "--trials", "4",
-        )
+    def test_exact_next_round_fields(self, capsys, argv, exact):
+        code, out, _ = run_cli(capsys, "experiment", *argv, "--trials", "4")
         assert code == 0
         row = json.loads(out)[0]
-        assert row["exact_next_round_error"] is None
-        assert row["mc_next_round_error"] is None
-        assert row["mc_next_round_sigma3"] is None
+        assert row["exact_next_round_error"] == exact
+        for name in ("mc_next_round_error", "mc_next_round_sigma3"):
+            assert (row[name] is None) == (exact is None)
 
     def test_announce_single_index_is_not_split(self, capsys, monkeypatch):
         seen = []
@@ -335,6 +339,17 @@ class TestUsageErrors:
             cli.main([*argv, "--rounds", "5", "--announce", "3,3"])
         assert info.value.code == 64
         assert "announce index 3 repeated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["run"], ["experiment", "--trials", "2"]], ids=["run", "experiment"]
+    )
+    @pytest.mark.parametrize("attack", [[], ["--attack", "none"], ["--attack", "gao"]],
+                             ids=["default", "none", "gao"])
+    def test_intercept_rounds_without_intercept_attack(self, capsys, argv, attack):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, *attack, "--intercept-rounds", "9", "--key", "0,1,2,0,1"])
+        assert info.value.code == 64
+        assert "--intercept-rounds needs --attack intercept" in capsys.readouterr().err
 
 
 class TestModuleEntry:

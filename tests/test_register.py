@@ -314,6 +314,44 @@ class TestMeasurement:
         b = bell_state(5).measure_computational("a", make_rng(21))[0]
         assert a == b
 
+    @pytest.mark.parametrize(
+        "collapse",
+        [
+            lambda st: st.measure_computational("a", make_rng(22))[1],
+            lambda st: st.project("a", 3),
+        ],
+        ids=["measure_computational", "project"],
+    )
+    def test_collapse_builds_one_state(self, monkeypatch, collapse):
+        st = bell_state(5)
+        built = []
+        original = PureState.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PureState, "__init__", counted)
+        collapsed = collapse(st)
+        assert len(built) == 1
+        assert collapsed.norm_squared() == 1
+        assert (collapsed.scale_exp, collapsed.scale_sq) == (0, 1)
+
+    def test_measurement_squares_each_amplitude_once(self, monkeypatch):
+        st = bell_state(5)
+        calls = []
+        original = CycloElem.conj
+
+        def counted(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(CycloElem, "conj", counted)
+        outcome, collapsed, prob = st.measure_computational("a", make_rng(23))
+        assert len(calls) == len(st.terms)
+        assert prob == Fraction(1, 5)
+        assert set(collapsed.terms) == {(outcome, outcome)}
+
 
 class TestDropWire:
     def test_requires_deterministic_value(self):
