@@ -65,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--d", type=int, default=3, help="qudit dimension (default 3)")
-    common.add_argument("--rounds", type=int, default=5, help="number of rounds (default 5)")
     key_group = common.add_mutually_exclusive_group()
     key_group.add_argument("--key", type=_dit_list, help="comma-separated key dits")
     key_group.add_argument("--key-seed", type=int, help="derive a random key from this seed")
@@ -76,24 +75,28 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"session RNG seed (default: ${SEED_ENV_VAR} or 0)",
     )
 
-    run = sub.add_parser("run", parents=[common], help="simulate one session")
-    run.add_argument(
+    # run and experiment choose the session's length and adversary
+    session = argparse.ArgumentParser(add_help=False, parents=[common])
+    session.add_argument("--rounds", type=int, default=5, help="number of rounds (default 5)")
+    session.add_argument(
         "--attack",
         choices=("none", "intercept", "gao"),
         default="none",
         help="channel adversary (default none)",
     )
-    run.add_argument(
+    session.add_argument(
         "--intercept-rounds",
         type=_dit_list,
         default=None,
         help="rounds the interceptor measures, with --attack intercept (default: all)",
     )
-    run.add_argument(
+    session.add_argument(
         "--announce",
         default="none",
         help='rounds whose dits Alice announces: "none", "odd", "even", or a comma list',
     )
+
+    run = sub.add_parser("run", parents=[session], help="simulate one session")
     run.add_argument("--trace", help="write the session transcript (JSON) to this path")
 
     verify = sub.add_parser(
@@ -102,26 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="check simulated stages against closed forms",
     )
     verify.add_argument("--trace", help="write the session transcript (JSON) to this path")
+    # the closed forms describe a five-round session
+    verify.set_defaults(rounds=5)
 
     experiment = sub.add_parser(
-        "experiment", parents=[common], help="aggregate many seeded sessions"
-    )
-    experiment.add_argument(
-        "--attack",
-        choices=("none", "intercept", "gao"),
-        default="none",
-        help="channel adversary (default none)",
-    )
-    experiment.add_argument(
-        "--intercept-rounds",
-        type=_dit_list,
-        default=None,
-        help="rounds the interceptor measures, with --attack intercept (default: all)",
-    )
-    experiment.add_argument(
-        "--announce",
-        default="none",
-        help='announcement policy applied to every trial (default "none")',
+        "experiment", parents=[session], help="aggregate many seeded sessions"
     )
     experiment.add_argument("--trials", type=int, default=1000, help="number of sessions")
     experiment.add_argument(
@@ -147,7 +135,7 @@ def _resolve_key(args, parser, seed: int, rounds: int) -> tuple[int, ...]:
     if args.key is not None:
         key = args.key
         if len(key) != rounds:
-            parser.error(f"--key has {len(key)} dits but --rounds is {rounds}")
+            parser.error(f"--key has {len(key)} dits but the session has {rounds} rounds")
         return key
     if args.d < 2 or rounds < 1:
         return ()  # nothing to draw; ProtocolConfig names the bad --d or --rounds
@@ -156,12 +144,11 @@ def _resolve_key(args, parser, seed: int, rounds: int) -> tuple[int, ...]:
     return tuple(int(x) for x in rng.integers(0, args.d, rounds))
 
 
-def _make_config(args, parser, rounds=None) -> ProtocolConfig:
+def _make_config(args, parser) -> ProtocolConfig:
     seed = _resolve_seed(args)
-    rounds = rounds if rounds is not None else args.rounds
-    key = _resolve_key(args, parser, seed, rounds)
+    key = _resolve_key(args, parser, seed, args.rounds)
     try:
-        return ProtocolConfig(dim=args.d, num_rounds=rounds, key=key, rng_seed=seed)
+        return ProtocolConfig(dim=args.d, num_rounds=args.rounds, key=key, rng_seed=seed)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -221,7 +208,7 @@ def cmd_run(args, parser) -> int:
 
 
 def cmd_verify_paper(args, parser) -> int:
-    config = _make_config(args, parser, rounds=5)
+    config = _make_config(args, parser)
     session = run_session(config, GaoAttack())
     if args.trace:
         dump_transcript(session, args.trace)

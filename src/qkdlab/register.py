@@ -5,16 +5,16 @@ with a global factor d**(-scale_exp/2) * sqrt(scale_sq), so square roots
 of the dimension never enter the coefficient ring.  In every state the
 protocol engine produces, scale_sq stays 1 and the amplitudes stay
 integer vectors; the extra factor exists for collapses whose branch
-weight is not a power of d.
+weight is not a power of d.  Amplitudes are canonical from construction,
+so this module never reduces modulo Phi_d and compares them with ==.
 
 The generalized Hadamard works on plain coefficients rather than ring
 elements: it adds each input amplitude's coefficients, rotated by the
 output's phase exponent, into one row of d ints or Fractions per output
-basis state, reduces each finished row modulo Phi_d, drops the zero rows
-and builds one CycloElem per surviving term.  It raises scale_exp by one
-and folds it back exactly: while scale_exp is at least 2 and d divides
-every reduced coefficient, all rows are divided by d and scale_exp drops
-by 2.
+basis state, builds one CycloElem per finished row (which reduces it)
+and drops the zero ones.  It raises scale_exp by one and folds it back
+exactly: while scale_exp is at least 2 and d divides every reduced
+coefficient, all amplitudes are divided by d and scale_exp drops by 2.
 
 Born weights (|amplitude|**2 summed per value of a wire) are computed in
 one place, which norm_squared, measurement_distribution, project and
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import CycloElem, rational_value, reduce_coeffs, sqrt_rational
+from .ring import CycloElem, rational_value, sqrt_rational
 
 Wire = str
 BasisTuple = tuple[int, ...]
@@ -72,7 +72,7 @@ class PureState:
             raise ValueError(f"duplicate wire labels in {wires}")
         if not wires:
             raise ValueError("a state needs at least one wire")
-        if scale_exp < 0 or not isinstance(scale_exp, int):
+        if isinstance(scale_exp, bool) or not isinstance(scale_exp, int) or scale_exp < 0:
             raise ValueError(f"scale_exp must be a non-negative integer, got {scale_exp}")
         scale_sq = Fraction(scale_sq)
         if scale_sq <= 0:
@@ -88,7 +88,6 @@ class PureState:
                 raise TypeError(f"amplitude must be CycloElem, got {type(amp).__name__}")
             if amp.dim != dim:
                 raise ValueError(f"amplitude dimension {amp.dim} does not match state dimension {dim}")
-            amp = amp.canonical_reduce()
             if any(amp.coeffs):
                 clean[basis] = amp
         self.dim = dim
@@ -156,18 +155,18 @@ class PureState:
         zeta**(-jt)).  Each output basis state collects one plain row of d
         coefficients: an input term whose wire holds j and whose amplitude
         is sum_i c_i zeta**i adds c_i into row[(i + jt) % d] of output t
-        (row[(i - jt) % d] when conjugate).  The finished rows are reduced
-        modulo Phi_d and the zero rows dropped.  The global exponent rises
-        by one; then, while it is at least 2 and every reduced coefficient
-        is an int divisible by d, the rows are divided by d and the
-        exponent drops by 2.
+        (row[(i - jt) % d] when conjugate).  Each finished row becomes one
+        CycloElem, whose constructor reduces it modulo Phi_d, and the zero
+        ones are dropped.  The global exponent rises by one; then, while
+        it is at least 2 and every reduced coefficient is an int divisible
+        by d, the amplitudes are divided by d and the exponent drops by 2.
         """
         idx = self.wire_index(wire)
         dim = self.dim
         groups: dict[tuple[BasisTuple, BasisTuple], list] = {}
         for basis, amp in self.terms.items():
             groups.setdefault((basis[:idx], basis[idx + 1:]), []).append((basis[idx], amp.coeffs))
-        reduced: dict[BasisTuple, tuple] = {}
+        terms: dict[BasisTuple, CycloElem] = {}
         for (prefix, suffix), members in groups.items():
             rows = [[0] * dim for _ in range(dim)]
             for j, coeffs in members:
@@ -179,17 +178,16 @@ class PureState:
                         row[i] += c
                         i = (i + step) % dim
             for t, row in enumerate(rows):
-                coeffs = reduce_coeffs(dim, row)
-                if any(coeffs):
-                    reduced[prefix + (t,) + suffix] = coeffs
+                amp = CycloElem(dim, row)
+                if any(amp.coeffs):
+                    terms[prefix + (t,) + suffix] = amp
         scale_exp = self.scale_exp + 1
         # a coefficient that d divides is an int: a non-integer Fraction never is
-        while scale_exp >= 2 and reduced and not any(
-            c % dim for coeffs in reduced.values() for c in coeffs
+        while scale_exp >= 2 and terms and not any(
+            c % dim for amp in terms.values() for c in amp.coeffs
         ):
-            reduced = {b: tuple(c // dim for c in coeffs) for b, coeffs in reduced.items()}
+            terms = {b: CycloElem(dim, [c // dim for c in amp.coeffs]) for b, amp in terms.items()}
             scale_exp -= 2
-        terms = {b: CycloElem(dim, coeffs) for b, coeffs in reduced.items()}
         return PureState(dim, self.wires, scale_exp, terms, self.scale_sq)
 
     # -- measurement ---------------------------------------------------------
@@ -319,24 +317,46 @@ class PureState:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> PureState:
-        dim = data["dim"]
-        terms = {
-            tuple(entry["basis"]): CycloElem(dim, tuple(Fraction(c) for c in entry["coeffs"]))
-            for entry in data["terms"]
-        }
-        return cls(
-            dim,
-            tuple(data["wires"]),
-            data["scale_exp"],
-            terms,
-            Fraction(data.get("scale_sq", 1)),
-        )
+        """The state to_json_dict wrote; malformed input raises ValueError naming the field."""
+        dim = _json_field(data, "dim", int)
+        terms = {}
+        for entry in _json_field(data, "terms", list):
+            basis = tuple(_json_field(entry, "basis", list, int))
+            if basis in terms:
+                raise ValueError(f"state JSON lists basis {list(basis)} twice")
+            coeffs = [_json_fraction(c, "coeffs") for c in _json_field(entry, "coeffs", list)]
+            terms[basis] = CycloElem(dim, coeffs)
+        scale_sq = _json_fraction(data.get("scale_sq", "1"), "scale_sq")
+        wires = _json_field(data, "wires", list, str)
+        # __init__ checks scale_exp's type along with its range
+        return cls(dim, wires, _json_field(data, "scale_exp"), terms, scale_sq)
 
     def __repr__(self) -> str:
         return (
             f"PureState(dim={self.dim}, wires={self.wires}, scale_exp={self.scale_exp}, "
             f"terms={len(self.terms)})"
         )
+
+
+def _json_field(data, name: str, kind: type | None = None, item: type | None = None):
+    """data[name], of exact type kind (no bool for int) and with items of type item."""
+    if not isinstance(data, dict) or name not in data:
+        raise ValueError(f"state JSON has no field {name!r}")
+    value = data[name]
+    if (kind is not None and type(value) is not kind) or (
+        item is not None and any(type(v) is not item for v in value)
+    ):
+        raise ValueError(f"state JSON field {name!r} has the wrong type: {value!r}")
+    return value
+
+
+def _json_fraction(text, name: str) -> Fraction:
+    try:
+        if type(text) is str:
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"state JSON field {name!r} holds {text!r}, which is no fraction string")
 
 
 class DensityMatrixSlice:
@@ -371,13 +391,7 @@ class DensityMatrixSlice:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DensityMatrixSlice):
             return NotImplemented
-        if other.dim != self.dim:
-            return False
-        return all(
-            (self.entries[i][j] - other.entries[i][j]).is_zero()
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
+        return self.entries == other.entries
 
     __hash__ = None
 
@@ -436,7 +450,7 @@ def first_difference(a: PureState, b: PureState) -> str | None:
         basis
         for basis in a.terms.keys() | b_terms.keys()
         if ratio is None
-        or not (a.terms.get(basis, zero) - b_terms.get(basis, zero) * ratio).is_zero()
+        or a.terms.get(basis, zero) != b_terms.get(basis, zero) * ratio
     ]
     if not differing:
         return None

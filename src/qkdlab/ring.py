@@ -7,7 +7,9 @@ cyclotomic polynomial Phi_d, of degree phi(d) (Euler's totient), so the
 remainder modulo Phi_d is a canonical form for every d: coefficients
 from index phi(d) up are zero, and two elements are equal exactly when
 their remainders are.  At prime d, Phi_d = 1 + x + ... + x**(d-1) and the
-remainder is the vector with its last coefficient folded away.
+remainder is the vector with its last coefficient folded away.  Every
+CycloElem holds its remainder from construction on, so equality is
+coefficient identity and no other module needs to know the reduction.
 """
 
 from __future__ import annotations
@@ -19,19 +21,6 @@ from math import isqrt
 Coeff = int | Fraction
 
 
-def _as_coeff(value: object) -> Coeff:
-    kind = type(value)
-    if kind is int:
-        return value
-    if kind is Fraction:
-        return value.numerator if value.denominator == 1 else value
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise TypeError(f"coefficient must be int or Fraction, got {type(value).__name__}")
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    return value
-
-
 def _norm_coeff(value: Coeff) -> Coeff:
     # computed sums/products of valid coefficients only need the
     # denominator-one collapse, not the full type check
@@ -40,6 +29,12 @@ def _norm_coeff(value: Coeff) -> Coeff:
         if type(value) is Fraction and value.denominator == 1
         else value
     )
+
+
+def _as_coeff(value: object) -> Coeff:
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"coefficient must be int or Fraction, got {type(value).__name__}")
+    return _norm_coeff(value)
 
 
 def _divide(poly: list, divisor: tuple[int, ...]) -> list:
@@ -76,11 +71,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _modulus(dim: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """Phi_dim, its degree phi(dim), and the zero tail of a reduced element."""
-    divisor = cyclotomic_polynomial(dim)
-    phi = len(divisor) - 1
-    return divisor, phi, (0,) * (dim - phi)
+def _degree(dim: int) -> int:
+    """phi(dim): a reduced element is zero from this index up."""
+    return len(cyclotomic_polynomial(dim)) - 1
 
 
 def reduce_coeffs(dim: int, coeffs: list) -> tuple:
@@ -89,9 +82,7 @@ def reduce_coeffs(dim: int, coeffs: list) -> tuple:
     coeffs holds d ints or Fractions and is overwritten with the
     remainder modulo Phi_d; integer-valued Fractions come back as ints.
     """
-    divisor, phi, zeros = _modulus(dim)
-    if any(coeffs[phi:]):
-        _divide(coeffs, divisor)
+    _divide(coeffs, cyclotomic_polynomial(dim))
     if Fraction in map(type, coeffs):
         return tuple(map(_norm_coeff, coeffs))
     return tuple(coeffs)
@@ -100,8 +91,8 @@ def reduce_coeffs(dim: int, coeffs: list) -> tuple:
 class CycloElem:
     """One element of the order-d cyclotomic ring with rational coefficients.
 
-    Instances are immutable; every arithmetic operation returns a new,
-    canonically reduced element.
+    Instances are immutable and canonical: the constructor reduces modulo
+    Phi_d once, and sums of canonical elements need no reduction.
     """
 
     __slots__ = ("dim", "coeffs")
@@ -109,18 +100,19 @@ class CycloElem:
     def __init__(self, dim: int, coeffs) -> None:
         if dim < 2:
             raise ValueError(f"dimension must be at least 2, got {dim}")
-        coeffs = tuple(coeffs)
-        # all-int coefficients, the common case, need no per-item check
-        if not {int}.issuperset(map(type, coeffs)):
-            coeffs = tuple(_as_coeff(c) for c in coeffs)
+        coeffs = list(coeffs)
         if len(coeffs) != dim:
             raise ValueError(f"expected {dim} coefficients, got {len(coeffs)}")
+        # all-int coefficients, the common case, need no per-item check
+        if not {int}.issuperset(map(type, coeffs)):
+            coeffs = list(map(_as_coeff, coeffs))
         self.dim = dim
-        self.coeffs = coeffs
+        self.coeffs = reduce_coeffs(dim, coeffs) if any(coeffs[_degree(dim):]) else tuple(coeffs)
 
     @classmethod
     def _raw(cls, dim: int, coeffs: tuple) -> CycloElem:
-        # internal fast path: callers guarantee coeffs is a valid tuple
+        # internal fast path: callers guarantee coeffs is a valid tuple,
+        # canonical or about to go through canonical_reduce
         elem = object.__new__(cls)
         elem.dim = dim
         elem.coeffs = coeffs
@@ -139,9 +131,8 @@ class CycloElem:
         return cls(dim, (value,) + (0,) * (dim - 1))
 
     def canonical_reduce(self) -> CycloElem:
-        """The remainder modulo Phi_d: zero coefficients from index phi(d) up."""
-        _, phi, zeros = _modulus(self.dim)
-        if self.coeffs[phi:] == zeros:
+        """The remainder modulo Phi_d, for the raw results of *, conj and mul_zeta."""
+        if not any(self.coeffs[_degree(self.dim):]):
             return self
         return CycloElem._raw(self.dim, reduce_coeffs(self.dim, list(self.coeffs)))
 
@@ -162,7 +153,7 @@ class CycloElem:
             a if not b else b if not a else _norm_coeff(a + b)
             for a, b in zip(self.coeffs, rhs.coeffs)
         )
-        return CycloElem._raw(self.dim, coeffs).canonical_reduce()
+        return CycloElem._raw(self.dim, coeffs)
 
     __radd__ = __add__
 
@@ -206,7 +197,7 @@ class CycloElem:
         dim = self.dim
         e = exponent % dim
         if e == 0:
-            return self.canonical_reduce()
+            return self
         coeffs = self.coeffs[dim - e:] + self.coeffs[:dim - e]
         return CycloElem._raw(dim, coeffs).canonical_reduce()
 
@@ -219,15 +210,14 @@ class CycloElem:
         return CycloElem._raw(dim, tuple(out)).canonical_reduce()
 
     def is_zero(self) -> bool:
-        return not any(self.canonical_reduce().coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, CycloElem) and other.dim != self.dim:
-            return False
-        if not isinstance(other, (CycloElem, int, Fraction)):
-            return NotImplemented
-        rhs = self._coerce(other)
-        return self.canonical_reduce().coeffs == rhs.canonical_reduce().coeffs
+        if isinstance(other, CycloElem):
+            return other.dim == self.dim and other.coeffs == self.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
+        return NotImplemented
 
     __hash__ = None
 
@@ -266,7 +256,7 @@ def zeta_pow(dim: int, exponent: int) -> CycloElem:
     e = exponent % dim
     coeffs = [0] * dim
     coeffs[e] = 1
-    return CycloElem(dim, coeffs).canonical_reduce()
+    return CycloElem(dim, coeffs)
 
 
 def rational_value(elem: CycloElem) -> Fraction:
@@ -274,10 +264,9 @@ def rational_value(elem: CycloElem) -> Fraction:
 
     Raises ValueError when the element is not rational.
     """
-    reduced = elem.canonical_reduce()
-    if any(reduced.coeffs[1:]):
+    if any(elem.coeffs[1:]):
         raise ValueError(f"element is not rational: {elem!r}")
-    return Fraction(reduced.coeffs[0])
+    return Fraction(elem.coeffs[0])
 
 
 def sqrt_rational(dim: int, value) -> CycloElem | None:

@@ -178,12 +178,17 @@ class TestVerifyPaper:
             "first failure at Phi_9 (simulated != expected): missing from the transcript"
         )
 
-    def test_ignores_rounds_flag(self, capsys):
-        # a 5-round session is always used, whatever --rounds says
-        code, out, _ = run_cli(
-            capsys, "verify-paper", "--d", "3", "--rounds", "9", "--key-seed", "2"
-        )
-        assert code == 0
+    def test_rounds_flag_is_usage_error(self, capsys):
+        # the closed forms fix the session at five rounds, so --rounds is no flag here
+        for argv in (
+            ("--rounds", "9", "--key", "1,0,2,1,2,0,0,1,2"),
+            ("--rounds", "0"),
+            ("--rounds", "5", "--key-seed", "2"),
+        ):
+            with pytest.raises(SystemExit) as info:
+                cli.main(["verify-paper", "--d", "3", *argv])
+            assert info.value.code == 64
+            assert "unrecognized arguments: --rounds" in capsys.readouterr().err
 
 
 class TestExperiment:

@@ -24,7 +24,8 @@ from qkdlab.register import (
     first_difference,
     state_equals,
 )
-from qkdlab.ring import CycloElem, zeta_pow
+from qkdlab import ring
+from qkdlab.ring import CycloElem, rational_value, zeta_pow
 
 
 def mono(dim, value, exponent=0):
@@ -73,6 +74,29 @@ class TestConstruction:
     def test_rejects_mismatched_amplitude_dim(self):
         with pytest.raises(ValueError):
             PureState(3, ("x",), 0, {(0,): CycloElem.one(2)})
+
+    def test_amplitudes_are_read_without_reducing(self, monkeypatch):
+        # elements are canonical once built, so no consumer reduces again
+        amps = {
+            (0,): zeta_pow(4, 3),
+            (1,): CycloElem(4, (1, 0, 1, 0)),  # 1 + z^2 = 0 at d=4
+            (2,): CycloElem.from_rational(4, Fraction(1, 2)),
+            (3,): zeta_pow(4, 2),
+        }
+        inverse_zeta = zeta_pow(4, -1)
+
+        def forbidden(*args):
+            raise AssertionError("reduced a canonical element again")
+
+        monkeypatch.setattr(CycloElem, "canonical_reduce", forbidden)
+        monkeypatch.setattr(ring, "reduce_coeffs", forbidden)
+        st = PureState(4, ("x",), 0, amps)
+        assert set(st.terms) == {(0,), (2,), (3,)}
+        assert amps[(1,)].is_zero() and not amps[(0,)].is_zero()
+        assert amps[(0,)] == inverse_zeta and amps[(0,)] != amps[(3,)]
+        assert amps[(3,)] == -1
+        assert rational_value(amps[(3,)]) == -1
+        assert rational_value(amps[(2,)]) == Fraction(1, 2)
 
 
 class TestTensor:
@@ -520,3 +544,32 @@ class TestSerialization:
         clone = PureState.from_json_dict(st.to_json_dict())
         assert clone.scale_sq == Fraction(1, 5)
         assert state_equals(st, clone)
+
+    @pytest.mark.parametrize(
+        "change,field",
+        [
+            ({"terms": [{"basis": [1], "coeffs": ["1", "0", "0"]}] * 2}, r"basis \[1\]"),
+            ({"terms": [{"basis": [True], "coeffs": ["1", "0", "0"]}]}, "'basis'"),
+            ({"terms": [{"basis": ["1"], "coeffs": ["1", "0", "0"]}]}, "'basis'"),
+            ({"terms": [{"basis": [1], "coeffs": ["1/0", "0", "0"]}]}, "'coeffs'"),
+            ({"terms": [{"basis": [1], "coeffs": [0.5, "0", "0"]}]}, "'coeffs'"),
+            ({"scale_exp": True}, "scale_exp"),
+            ({"scale_exp": "1"}, "scale_exp"),
+            ({"dim": "3"}, "'dim'"),
+            ({"wires": "k"}, "'wires'"),
+            ({"scale_sq": "1/0"}, "'scale_sq'"),
+            ({"terms": None}, "'terms'"),
+        ],
+        ids=[
+            "duplicate-basis", "bool-basis", "string-basis", "zero-denominator",
+            "float-coeff", "bool-scale-exp", "string-scale-exp", "string-dim",
+            "string-wires", "zero-denominator-scale-sq", "missing-terms",
+        ],
+    )
+    def test_malformed_json_raises_value_error(self, change, field):
+        doc = {"dim": 3, "wires": ["k"], "scale_exp": 0,
+               "terms": [{"basis": [1], "coeffs": ["1", "0", "0"]}]}
+        doc.update(change)
+        doc = {k: v for k, v in doc.items() if v is not None}
+        with pytest.raises(ValueError, match=field):
+            PureState.from_json_dict(doc)

@@ -25,11 +25,21 @@ def cyclo(dim, *coeffs):
 
 
 @st.composite
-def cyclo_elems(draw, dims=DIMS):
+def raw_coeffs(draw, dims=DIMS):
+    """A dimension and d rational coefficients, not reduced modulo Phi_d."""
     dim = draw(st.sampled_from(dims))
     nums = draw(st.lists(st.integers(-9, 9), min_size=dim, max_size=dim))
     dens = draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim))
-    return CycloElem(dim, [Fraction(n, d) for n, d in zip(nums, dens)])
+    return dim, [Fraction(n, d) for n, d in zip(nums, dens)]
+
+
+@st.composite
+def cyclo_elems(draw, dims=DIMS):
+    return CycloElem(*draw(raw_coeffs(dims)))
+
+
+def direct_value(dim, coeffs) -> complex:
+    return sum(float(c) * cmath.exp(2j * cmath.pi * t / dim) for t, c in enumerate(coeffs))
 
 
 class TestConstruction:
@@ -48,6 +58,11 @@ class TestConstruction:
             CycloElem(2, (0.5, 0))
         with pytest.raises(TypeError):
             CycloElem(2, (True, 0))
+
+    def test_construction_reduces_modulo_phi(self):
+        # 1 + z + z^2 + z^3 = 0 at d=4, and z^2 = -1 - z at d=3
+        assert CycloElem(4, (1, 1, 1, 1)).coeffs == (0, 0, 0, 0)
+        assert CycloElem(3, (2, 0, -1)).coeffs == (3, 1, 0)
 
     def test_integral_fractions_collapse_to_int(self):
         elem = cyclo(3, Fraction(4, 2), 0, 0)
@@ -119,9 +134,9 @@ class TestCanonicalReduce:
 
     def test_composite_dim_reduces_modulo_phi(self):
         # 1 + z + z^2 + z^3 = (1 + z)(1 + z^2) and Phi_4 = 1 + x^2
-        elem = cyclo(4, 1, 1, 1, 1)
-        assert not is_canonical(elem)
-        assert elem.canonical_reduce().coeffs == (0, 0, 0, 0)
+        assert cyclo(4, 1, 1, 1, 1).coeffs == (0, 0, 0, 0)
+        # z^3 = -z at d=4, so 1 + 2z + z^3 = 1 + z
+        assert cyclo(4, 1, 2, 0, 1).coeffs == (1, 1, 0, 0)
         # Phi_6 = 1 - x + x^2, so z^2 = z - 1 and z^5 = 1 - z
         assert zeta_pow(6, 2).coeffs == (-1, 1, 0, 0, 0, 0)
         assert zeta_pow(6, 5).coeffs == (1, -1, 0, 0, 0, 0)
@@ -129,19 +144,24 @@ class TestCanonicalReduce:
         assert zeta_pow(9, 8).coeffs == (0, 0, -1, 0, 0, -1, 0, 0, 0)
 
     @settings(max_examples=200)
-    @given(cyclo_elems())
-    def test_idempotent_and_value_preserving(self, elem):
-        reduced = elem.canonical_reduce()
-        assert is_canonical(reduced)
-        assert reduced.canonical_reduce().coeffs == reduced.coeffs
-        assert abs(to_complex(reduced) - to_complex(elem)) < 1e-12
+    @given(raw_coeffs())
+    def test_idempotent_and_value_preserving(self, raw):
+        dim, coeffs = raw
+        elem = CycloElem(dim, coeffs)
+        assert is_canonical(elem)
+        assert elem.canonical_reduce() is elem
+        assert CycloElem(dim, elem.coeffs).coeffs == elem.coeffs
+        assert abs(to_complex(elem) - direct_value(dim, coeffs)) < 1e-9
 
     @settings(max_examples=200)
-    @given(cyclo_elems())
-    def test_reduce_coeffs_matches_canonical_reduce(self, elem):
-        coeffs = reduce_coeffs(elem.dim, list(elem.coeffs))
-        assert coeffs == elem.canonical_reduce().coeffs
-        assert all(type(c) is int or c.denominator != 1 for c in coeffs)
+    @given(raw_coeffs())
+    def test_reduce_coeffs_matches_canonical_reduce(self, raw):
+        dim, coeffs = raw
+        # _raw skips the constructor's reduction, so canonical_reduce has work to do
+        unreduced = CycloElem._raw(dim, tuple(coeffs))
+        reduced = reduce_coeffs(dim, list(coeffs))
+        assert reduced == unreduced.canonical_reduce().coeffs == CycloElem(dim, coeffs).coeffs
+        assert all(type(c) is int or c.denominator != 1 for c in reduced)
 
 
 class TestZeroAndComplex:
@@ -168,11 +188,7 @@ class TestZeroAndComplex:
     @settings(max_examples=150)
     @given(cyclo_elems())
     def test_to_complex_matches_direct_evaluation(self, elem):
-        direct = sum(
-            float(c) * cmath.exp(2j * cmath.pi * t / elem.dim)
-            for t, c in enumerate(elem.coeffs)
-        )
-        assert abs(to_complex(elem) - direct) < 1e-9
+        assert abs(to_complex(elem) - direct_value(elem.dim, elem.coeffs)) < 1e-9
 
 
 class TestConjugation:
@@ -309,9 +325,12 @@ class TestSqrtRational:
 class TestPrinting:
     def test_pretty_forms(self):
         assert str(CycloElem.zero(3)) == "0"
-        assert str(cyclo(3, 2, 0, -1)) == "2 - z^2"
+        assert str(cyclo(5, 2, 0, -1, 0, 0)) == "2 - z^2"
         assert str(cyclo(3, 0, 1, 0)) == "z"
         assert str(cyclo(3, Fraction(1, 2), -1, 0)) == "1/2 - z"
+        # the printed form is the reduced one: 2 - z^2 = 3 + z at d=3
+        assert str(cyclo(3, 2, 0, -1)) == "3 + z"
+        assert repr(cyclo(3, 2, 0, -1)) == "CycloElem(3, (3, 1, 0))"
 
     def test_repr_round_trips(self):
         elem = cyclo(3, 1, Fraction(2, 3), 0)
