@@ -2,20 +2,21 @@
 
 Two attacks are modelled.  Intercept-resend measures the travelling key
 qudit and forwards the collapsed state; it gains nothing and disturbs
-the next round.  The ancilla attack entangles one extra qudit with the
-travelling qudit in round one, mirrors the legitimate basis change from
-round two on, undoes its own correlation in even rounds to stay
-invisible, and in odd rounds deterministically reads off the current
-key dit shifted by the (unknown) first one.  A single later announcement
-of any odd dit then pins the first dit down, and with it every odd dit
-the attacker observed.
+the next round.  The ancilla attack adjoins its own qudit in |0> in
+round one and entangles it with the travelling qudit, mirrors the
+legitimate basis change from round two on, undoes its own correlation
+in even rounds to stay invisible, and in odd rounds deterministically
+reads off the current key dit shifted by the (unknown) first one.  A
+single later announcement of any odd dit then pins the first dit down,
+and with it every odd dit the attacker observed.
 
 Strategies are stateless hooks that protocol.run_round calls at two
 points of every round: after the shared basis change and while the key
 qudit is in transit.  The transit hook returns the states it produced,
 unlabelled, and the value it read; run_round names them and records the
 value on the round's transcript, which is the only record of what the
-attacker saw.
+attacker saw.  A strategy brings its own wires: the session starts from
+the bare shared pair.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .register import (
     ANCILLA_WIRE,
     TRANSIT_WIRE,
     PureState,
+    basis_state,
 )
 
 
@@ -81,7 +83,6 @@ class AdversaryStrategy:
     """
 
     kind = "none"
-    wants_ancilla = False
     #: rounds the strategy acts on, sorted; None means every round
     attack_rounds: tuple[int, ...] | None = None
 
@@ -120,12 +121,11 @@ class GaoAttack(AdversaryStrategy):
     """Ancilla-entangling attack with detection-free key extraction."""
 
     kind = "gao"
-    wants_ancilla = True
 
     def on_basis_change(self, state, round_index):
-        """Mirror the legitimate basis change on the ancilla (rounds two onward)."""
+        """Adjoin the ancilla in |0> in round one; mirror the basis change on it after."""
         if round_index == 1:
-            return state
+            return state.tensor(basis_state(state.dim, [(ANCILLA_WIRE, 0)]))
         return state.apply_hadamard(ANCILLA_WIRE)
 
     def on_transit(self, state, round_index, rng):

@@ -7,6 +7,10 @@ Subcommands:
                 against independently constructed closed forms
   experiment    aggregate metrics over many seeded sessions
 
+Every subcommand takes --d and --seed (default 0).  run and verify-paper
+simulate one key, given by --key or drawn from --key-seed; experiment
+draws a fresh key for every trial and takes neither.
+
 Exit codes: 0 success, 1 runtime error, 2 detection triggered,
 3 verification mismatch, 64 usage error.
 """
@@ -15,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from .adversary import GaoAttack, InterceptResend
@@ -43,8 +46,6 @@ EXIT_DETECTION = 2
 EXIT_VERIFY_MISMATCH = 3
 EXIT_USAGE = 64
 
-SEED_ENV_VAR = "QKDLAB_SEED"
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -65,18 +66,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--d", type=int, default=3, help="qudit dimension (default 3)")
-    key_group = common.add_mutually_exclusive_group()
+    common.add_argument("--seed", type=int, default=0, help="session RNG seed (default 0)")
+
+    # run and verify-paper simulate one key; experiment draws a fresh one per trial
+    keyed = argparse.ArgumentParser(add_help=False)
+    key_group = keyed.add_mutually_exclusive_group()
     key_group.add_argument("--key", type=_dit_list, help="comma-separated key dits")
     key_group.add_argument("--key-seed", type=int, help="derive a random key from this seed")
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=f"session RNG seed (default: ${SEED_ENV_VAR} or 0)",
-    )
 
     # run and experiment choose the session's length and adversary
-    session = argparse.ArgumentParser(add_help=False, parents=[common])
+    session = argparse.ArgumentParser(add_help=False)
     session.add_argument("--rounds", type=int, default=5, help="number of rounds (default 5)")
     session.add_argument(
         "--attack",
@@ -96,12 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
         help='rounds whose dits Alice announces: "none", "odd", "even", or a comma list',
     )
 
-    run = sub.add_parser("run", parents=[session], help="simulate one session")
+    run = sub.add_parser("run", parents=[common, keyed, session], help="simulate one session")
     run.add_argument("--trace", help="write the session transcript (JSON) to this path")
 
     verify = sub.add_parser(
         "verify-paper",
-        parents=[common],
+        parents=[common, keyed],
         help="check simulated stages against closed forms",
     )
     verify.add_argument("--trace", help="write the session transcript (JSON) to this path")
@@ -109,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(rounds=5)
 
     experiment = sub.add_parser(
-        "experiment", parents=[session], help="aggregate many seeded sessions"
+        "experiment", parents=[common, session], help="aggregate many seeded sessions"
     )
     experiment.add_argument("--trials", type=int, default=1000, help="number of sessions")
     experiment.add_argument(
@@ -119,19 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"${SEED_ENV_VAR} must be an integer, got {env!r}")
-    return 0
-
-
-def _resolve_key(args, parser, seed: int, rounds: int) -> tuple[int, ...]:
+def _resolve_key(args, parser) -> tuple[int, ...]:
+    rounds = args.rounds
     if args.key is not None:
         key = args.key
         if len(key) != rounds:
@@ -139,16 +127,14 @@ def _resolve_key(args, parser, seed: int, rounds: int) -> tuple[int, ...]:
         return key
     if args.d < 2 or rounds < 1:
         return ()  # nothing to draw; ProtocolConfig names the bad --d or --rounds
-    key_seed = args.key_seed if args.key_seed is not None else seed
+    key_seed = args.key_seed if args.key_seed is not None else args.seed
     rng = make_rng(key_seed, stream=1)
     return tuple(int(x) for x in rng.integers(0, args.d, rounds))
 
 
-def _make_config(args, parser) -> ProtocolConfig:
-    seed = _resolve_seed(args)
-    key = _resolve_key(args, parser, seed, args.rounds)
+def _make_config(args, parser, key) -> ProtocolConfig:
     try:
-        return ProtocolConfig(dim=args.d, num_rounds=args.rounds, key=key, rng_seed=seed)
+        return ProtocolConfig(dim=args.d, num_rounds=args.rounds, key=key, rng_seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -176,7 +162,7 @@ def _parse_announce(args, parser, num_rounds: int) -> list[int]:
 
 
 def cmd_run(args, parser) -> int:
-    config = _make_config(args, parser)
+    config = _make_config(args, parser, _resolve_key(args, parser))
     adversary = _make_adversary(args, parser, config.num_rounds)
     announce = _parse_announce(args, parser, config.num_rounds)
     session = run_session(config, adversary)
@@ -208,7 +194,7 @@ def cmd_run(args, parser) -> int:
 
 
 def cmd_verify_paper(args, parser) -> int:
-    config = _make_config(args, parser)
+    config = _make_config(args, parser, _resolve_key(args, parser))
     session = run_session(config, GaoAttack())
     if args.trace:
         dump_transcript(session, args.trace)
@@ -235,7 +221,8 @@ def cmd_verify_paper(args, parser) -> int:
 def cmd_experiment(args, parser) -> int:
     if args.trials < 1:
         parser.error(f"--trials must be positive, got {args.trials}")
-    config = _make_config(args, parser)
+    # monte_carlo draws each trial's key, so the config's key only fills the slot
+    config = _make_config(args, parser, (0,) * args.rounds)
     adversary = _make_adversary(args, parser, config.num_rounds)
     announce = _parse_announce(args, parser, config.num_rounds)
     report = monte_carlo(config, adversary, args.trials, config.rng_seed, announce=announce)

@@ -35,7 +35,6 @@ from .adversary import (
 )
 from .register import (
     ALICE_WIRE,
-    ANCILLA_WIRE,
     BOB_WIRE,
     TRANSIT_WIRE,
     WIRE_DISPLAY_ORDER,
@@ -213,8 +212,6 @@ def run_session(
         )
     rng = make_rng(config.rng_seed)
     st = bell_state(config.dim)
-    if strategy.wants_ancilla:
-        st = st.tensor(basis_state(config.dim, [(ANCILLA_WIRE, 0)]))
     rounds = []
     for index, key_dit in enumerate(config.key, start=1):
         st, transcript = run_round(st, index, key_dit, strategy, rng)

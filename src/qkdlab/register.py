@@ -404,8 +404,6 @@ class DensityMatrixSlice:
 
 def bell_state(dim: int, wires: tuple[Wire, Wire] = (ALICE_WIRE, BOB_WIRE)) -> PureState:
     """The maximally entangled pair sum_j |j,j> / sqrt(d)."""
-    if dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
     one = CycloElem.one(dim)
     return PureState(dim, wires, 1, {(j, j): one for j in range(dim)})
 

@@ -18,6 +18,7 @@ from qkdlab.protocol import (
     ProtocolConfig,
     announce_subsequence,
     make_rng,
+    run_round,
     run_session,
     transcript_to_json_dict,
 )
@@ -41,14 +42,21 @@ class TestObservationSign:
 class TestGaoHooks:
     STAGES = eavesdrop_stage_states(3, (1, 0, 2, 1, 2))
 
-    def test_basis_change_leaves_round_one_unchanged(self):
-        state = bell_state(3).tensor(basis_state(3, [("e", 0)]))
-        assert GaoAttack().on_basis_change(state, 1) is state
+    def test_basis_change_adjoins_ancilla_in_round_one(self):
+        state = GaoAttack().on_basis_change(bell_state(3), 1)
+        assert state.wires == ("a", "b", "e")
+        assert state_equals(state, bell_state(3).tensor(basis_state(3, [("e", 0)])))
 
     def test_basis_change_reproduces_round_two_start(self):
         rotated = self.STAGES["psi_1_1"].apply_hadamard("a").apply_hadamard("b", conjugate=True)
         rotated = GaoAttack().on_basis_change(rotated, 2)
         assert state_equals(rotated, self.STAGES["psi_2_0"])
+
+    def test_round_one_runs_from_bare_pair(self):
+        state, transcript = run_round(bell_state(3), 1, 2, GaoAttack(), make_rng(0))
+        assert state.wires == ("a", "b", "e")
+        assert transcript.bob_outcome == 2
+        assert state_equals(transcript.stage_state("psi_1_0"), self.STAGES["psi_1_0"])
 
     def test_transit_round_one_entangles_ancilla(self):
         states, value = GaoAttack().on_transit(self.STAGES["Phi_1"], 1, None)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qkdlab
 from qkdlab import cli
 from qkdlab.register import PureState, state_equals
 from qkdlab.ring import zeta_pow
@@ -98,17 +103,12 @@ class TestRun:
         assert doc["config"]["key"] == [0, 1, 2]
         assert len(doc["rounds"]) == 3
 
-    def test_env_seed_fallback(self, capsys, monkeypatch):
+    def test_seed_is_set_by_flag_only(self, capsys, monkeypatch):
+        # no environment variable sets --seed a second way
         monkeypatch.setenv("QKDLAB_SEED", "1234")
         code, out, _ = run_cli(capsys, "run", "--d", "3", "--rounds", "3", "--key", "0,0,0")
         assert code == 0
-        assert "seed=1234" in out
-
-    def test_bad_env_seed_is_runtime_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("QKDLAB_SEED", "not-a-number")
-        code, _, err = run_cli(capsys, "run", "--d", "3", "--rounds", "1", "--key", "1")
-        assert code == 1
-        assert "QKDLAB_SEED" in err
+        assert "seed=0" in out
 
 
 class TestVerifyPaper:
@@ -130,6 +130,18 @@ class TestVerifyPaper:
         code, out, _ = run_cli(capsys, "verify-paper", "--d", "6", "--key", "5,2,0,3,4")
         assert code == 0
         assert "all 32 stage checks passed" in out
+
+    def test_trace_writes_transcript(self, capsys, tmp_path):
+        path = tmp_path / "verify.json"
+        code, out, _ = run_cli(
+            capsys, "verify-paper", "--d", "3", "--key", "1,0,2,1,2", "--trace", str(path)
+        )
+        assert code == 0
+        assert "all 32 stage checks passed" in out
+        doc = json.loads(path.read_text())
+        assert doc["schema_version"] == "v1"
+        assert len(doc["rounds"]) == 5
+        assert sum(len(r["stages"]) for r in doc["rounds"]) == 32
 
     def test_mode_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
@@ -261,6 +273,16 @@ class TestExperiment:
             cli.main(["experiment", "--trials", "0"])
         assert info.value.code == 64
 
+    @pytest.mark.parametrize(
+        "argv", [["--key", "1,1"], ["--key-seed", "3"]], ids=["key", "key-seed"]
+    )
+    def test_key_flags_are_usage_errors(self, capsys, argv):
+        # every trial draws its own key, so a given key would be ignored
+        with pytest.raises(SystemExit) as info:
+            cli.main(["experiment", "--d", "3", "--rounds", "2", "--trials", "5", *argv])
+        assert info.value.code == 64
+        assert f"unrecognized arguments: {argv[0]}" in capsys.readouterr().err
+
     def test_gao_all_trials_zero(self, capsys):
         code, out, _ = run_cli(
             capsys, "experiment", "--d", "5", "--rounds", "4", "--attack", "gao",
@@ -352,7 +374,7 @@ class TestUsageErrors:
                              ids=["default", "none", "gao"])
     def test_intercept_rounds_without_intercept_attack(self, capsys, argv, attack):
         with pytest.raises(SystemExit) as info:
-            cli.main([*argv, *attack, "--intercept-rounds", "9", "--key", "0,1,2,0,1"])
+            cli.main([*argv, *attack, "--intercept-rounds", "9"])
         assert info.value.code == 64
         assert "--intercept-rounds needs --attack intercept" in capsys.readouterr().err
 
@@ -362,3 +384,21 @@ class TestModuleEntry:
         # python -m execution path shares cli.main
         from qkdlab.cli import main
         assert callable(main)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["run", "--d", "3", "--rounds", "3", "--key", "0,1,2"], 0),
+            (["run", "--frobnicate"], 64),
+        ],
+        ids=["run", "unknown-flag"],
+    )
+    def test_python_dash_m_exit_code(self, tmp_path, argv, code):
+        src = str(Path(qkdlab.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        result = subprocess.run(
+            [sys.executable, "-m", "qkdlab", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == code, result.stderr

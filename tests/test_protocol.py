@@ -151,6 +151,27 @@ class TestGaoSession:
         assert set(session.final_shared_state.wires) == {"a", "b", "e"}
 
 
+class TestExactZeroError:
+    """Bob's decode stage holds the key dit with probability exactly 1, not by sampling."""
+
+    @staticmethod
+    def decode_stage(round_transcript, attacked):
+        if not attacked:
+            return round_transcript.stage_state("post_decode")
+        labels = round_transcript.stage_labels
+        return round_transcript.stages[labels.index(f"psi_{round_transcript.round_index}_1") - 1][1]
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    @pytest.mark.parametrize("attacked", [False, True], ids=["honest", "gao"])
+    def test_decode_is_point_mass_on_key_dit(self, dim, attacked):
+        key = tuple(int(x) for x in make_rng(dim, stream=1).integers(0, dim, 9))
+        config = ProtocolConfig(dim=dim, num_rounds=9, key=key, rng_seed=dim)
+        session = run_session(config, GaoAttack() if attacked else None)
+        for round_transcript, dit in zip(session.rounds, key):
+            stage = self.decode_stage(round_transcript, attacked)
+            assert stage.measurement_distribution("k") == {dit: Fraction(1)}
+
+
 class TestInterceptSession:
     def test_first_round_outcome_undisturbed(self):
         # measuring the transit qudit commutes with Bob's decode in round 1

@@ -35,6 +35,13 @@ def mono(dim, value, exponent=0):
 STAGES3 = eavesdrop_stage_states(3, (1, 0, 2, 1, 2))
 
 
+class FirstOutcomeRng:
+    """A uniform draw of 0, so measure_computational picks the lowest outcome."""
+
+    def random(self):
+        return 0.0
+
+
 class TestConstruction:
     def test_bell_state_dim3(self):
         bell = bell_state(3)
@@ -50,6 +57,10 @@ class TestConstruction:
 
     def test_bell_norm(self):
         assert bell_state(5).norm_squared() == 1
+
+    def test_bell_state_rejects_dim_one(self):
+        with pytest.raises(ValueError, match=r"^dimension must be at least 2, got 1$"):
+            bell_state(1)
 
     def test_basis_state(self):
         st = basis_state(3, [("k", 2)])
@@ -328,6 +339,25 @@ class TestMeasurement:
         picked = st.project("x", 1)
         assert picked.norm_squared() == 1
         assert set(picked.terms) == {(1,)}
+
+    @pytest.mark.parametrize(
+        "collapse",
+        [
+            lambda st: st.measure_computational("x", FirstOutcomeRng())[1],
+            lambda st: st.project("x", 0),
+        ],
+        ids=["measure_computational", "project"],
+    )
+    def test_collapse_moves_d_in_denominator_into_scale_exp(self, collapse):
+        # branch weight 9 leaves scale_sq = 1/9, whose denominator holds d twice
+        st = PureState(
+            3, ("x", "y"), 0,
+            {(0, 0): CycloElem.from_rational(3, 3), (1, 0): CycloElem.one(3)},
+        )
+        collapsed = collapse(st)
+        assert (collapsed.scale_exp, collapsed.scale_sq) == (2, 1)
+        assert collapsed.norm_squared() == 1
+        assert state_equals(collapsed, basis_state(3, [("x", 0), ("y", 0)]))
 
     def test_project_zero_probability_rejected(self):
         with pytest.raises(ValueError):
