@@ -1,12 +1,10 @@
 """Sparse multi-qudit pure states over named wires.
 
 A state stores a map from basis tuples to exact ring amplitudes together
-with a global factor d**(-scale_exp/2) * sqrt(scale_sq), so square roots
-of the dimension never enter the coefficient ring.  In every state the
-protocol engine produces, scale_sq stays 1 and the amplitudes stay
-integer vectors; the extra factor exists for collapses whose branch
-weight is not a power of d.  Amplitudes are canonical from construction,
-so this module never reduces modulo Phi_d and compares them with ==.
+with a global factor d**(-scale_exp/2), so square roots of the dimension
+never enter the coefficient ring.  Amplitudes are canonical from
+construction, so this module never reduces modulo Phi_d and compares
+them with ==.
 
 The generalized Hadamard works on plain coefficients rather than ring
 elements: it adds each input amplitude's coefficients, rotated by the
@@ -18,8 +16,11 @@ coefficient, all amplitudes are divided by d and scale_exp drops by 2.
 
 Born weights (|amplitude|**2 summed per value of a wire) are computed in
 one place, which norm_squared, measurement_distribution, project and
-measure_computational share; a collapse divides scale_sq by the branch
-weight, moves its d-powers into scale_exp and builds one state.
+measure_computational share.  A collapse moves the branch weight's
+powers of d into scale_exp and builds one state; it raises ValueError
+when the weight is no power of d.  Every Born weight on the protocol's
+stabilizer states is such a power, so no protocol path reaches that
+error.
 
 Wires are plain string labels.  The four canonical protocol wires are
 Alice's and Bob's halves of the shared pair, the travelling key qudit,
@@ -43,28 +44,19 @@ ANCILLA_WIRE: Wire = "e"
 #: preferred display order for the canonical wires in snapshots and JSON
 WIRE_DISPLAY_ORDER: tuple[Wire, ...] = (ALICE_WIRE, BOB_WIRE, TRANSIT_WIRE, ANCILLA_WIRE)
 
-_ONE = Fraction(1)
-
-
 class PureState:
     """Sparse superposition over labelled d-level wires.
 
     terms maps basis tuples (one dit per wire, in wire order) to nonzero
-    CycloElem amplitudes.  Normalized states satisfy norm_squared() == 1;
+    CycloElem amplitudes; the vector is d**(-scale_exp/2) * sum(amp |basis>).
+    Normalized states satisfy norm_squared() == 1;
     the constructor does not enforce this so that intermediate values of
     unitary rewrites can exist.
     """
 
-    __slots__ = ("dim", "wires", "scale_exp", "terms", "scale_sq")
+    __slots__ = ("dim", "wires", "scale_exp", "terms")
 
-    def __init__(
-        self,
-        dim: int,
-        wires,
-        scale_exp: int,
-        terms,
-        scale_sq: Fraction = _ONE,
-    ) -> None:
+    def __init__(self, dim: int, wires, scale_exp: int, terms) -> None:
         if dim < 2:
             raise ValueError(f"dimension must be at least 2, got {dim}")
         wires = tuple(wires)
@@ -74,9 +66,6 @@ class PureState:
             raise ValueError("a state needs at least one wire")
         if isinstance(scale_exp, bool) or not isinstance(scale_exp, int) or scale_exp < 0:
             raise ValueError(f"scale_exp must be a non-negative integer, got {scale_exp}")
-        scale_sq = Fraction(scale_sq)
-        if scale_sq <= 0:
-            raise ValueError(f"scale_sq must be positive, got {scale_sq}")
         clean: dict[BasisTuple, CycloElem] = {}
         for basis, amp in dict(terms).items():
             basis = tuple(basis)
@@ -94,7 +83,6 @@ class PureState:
         self.wires = wires
         self.scale_exp = scale_exp
         self.terms = clean
-        self.scale_sq = scale_sq
 
     # -- construction helpers ------------------------------------------------
 
@@ -115,13 +103,7 @@ class PureState:
         for b1, a1 in self.terms.items():
             for b2, a2 in other.terms.items():
                 terms[b1 + b2] = a1 * a2
-        return PureState(
-            self.dim,
-            self.wires + other.wires,
-            self.scale_exp + other.scale_exp,
-            terms,
-            self.scale_sq * other.scale_sq,
-        )
+        return PureState(self.dim, self.wires + other.wires, self.scale_exp + other.scale_exp, terms)
 
     def reorder_wires(self, order) -> PureState:
         order = tuple(order)
@@ -129,7 +111,7 @@ class PureState:
             raise ValueError(f"{order} is not a permutation of {self.wires}")
         perm = tuple(self.wires.index(w) for w in order)
         terms = {tuple(b[i] for i in perm): amp for b, amp in self.terms.items()}
-        return PureState(self.dim, order, self.scale_exp, terms, self.scale_sq)
+        return PureState(self.dim, order, self.scale_exp, terms)
 
     # -- gates ---------------------------------------------------------------
 
@@ -146,7 +128,7 @@ class PureState:
         for basis, amp in self.terms.items():
             shifted = (basis[ti] + sign * basis[ci]) % dim
             terms[basis[:ti] + (shifted,) + basis[ti + 1:]] = amp
-        return PureState(dim, self.wires, self.scale_exp, terms, self.scale_sq)
+        return PureState(dim, self.wires, self.scale_exp, terms)
 
     def apply_hadamard(self, wire: Wire, conjugate: bool = False) -> PureState:
         """Generalized Hadamard on one wire: |j> -> d**-1/2 sum_t zeta**(jt) |t>.
@@ -188,7 +170,7 @@ class PureState:
         ):
             terms = {b: CycloElem(dim, [c // dim for c in amp.coeffs]) for b, amp in terms.items()}
             scale_exp -= 2
-        return PureState(dim, self.wires, scale_exp, terms, self.scale_sq)
+        return PureState(dim, self.wires, scale_exp, terms)
 
     # -- measurement ---------------------------------------------------------
 
@@ -203,7 +185,7 @@ class PureState:
             contrib = amp * amp.conj()
             prev = sums.get(v)
             sums[v] = contrib if prev is None else prev + contrib
-        weight = self.scale_sq / Fraction(self.dim) ** self.scale_exp
+        weight = Fraction(1, self.dim**self.scale_exp)
         return {v: weight * rational_value(s) for v, s in sums.items()}
 
     def measurement_distribution(self, wire: Wire) -> dict[int, Fraction]:
@@ -225,17 +207,22 @@ class PureState:
         return self._collapse(branch, self._branch_weights(None, branch)[None])
 
     def _collapse(self, branch: dict, weight: Fraction) -> PureState:
-        """The branch terms renormalized by their weight, d-powers moved into scale_exp."""
+        """The branch terms renormalized by their positive Born weight d**j.
+
+        The amplitudes stay and scale_exp gains j.  Any other weight, or a
+        j that takes scale_exp below 0, raises ValueError.
+        """
         dim, scale_exp = self.dim, self.scale_exp
-        scale_sq = self.scale_sq / weight
-        num, den = scale_sq.numerator, scale_sq.denominator
-        while scale_exp and num % dim == 0:
+        num, den = weight.numerator, weight.denominator
+        while num % dim == 0:
             num //= dim
-            scale_exp -= 1
+            scale_exp += 1
         while den % dim == 0:
             den //= dim
-            scale_exp += 1
-        return PureState(dim, self.wires, scale_exp, branch, Fraction(num, den))
+            scale_exp -= 1
+        if num != 1 or den != 1 or scale_exp < 0:
+            raise ValueError(f"branch weight {weight} is no power of d={dim} that scale_exp can absorb")
+        return PureState(dim, self.wires, scale_exp, branch)
 
     def measure_computational(self, wire: Wire, rng) -> tuple[int, PureState, Fraction]:
         """Sample an outcome with exact Born weights; rng supplies one uniform draw.
@@ -272,7 +259,7 @@ class PureState:
             raise ValueError("cannot drop the last wire of a state")
         wires = self.wires[:idx] + self.wires[idx + 1:]
         terms = {b[:idx] + b[idx + 1:]: a for b, a in self.terms.items()}
-        return PureState(self.dim, wires, self.scale_exp, terms, self.scale_sq)
+        return PureState(self.dim, wires, self.scale_exp, terms)
 
     # -- aggregates ----------------------------------------------------------
 
@@ -287,7 +274,7 @@ class PureState:
         for basis, amp in self.terms.items():
             rest = basis[:idx] + basis[idx + 1:]
             groups.setdefault(rest, []).append((basis[idx], amp))
-        weight = self.scale_sq / Fraction(dim) ** self.scale_exp
+        weight = Fraction(1, dim**self.scale_exp)
         rho = [[CycloElem.zero(dim) for _ in range(dim)] for _ in range(dim)]
         for group in groups.values():
             for i, a1 in group:
@@ -299,7 +286,7 @@ class PureState:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "dim": self.dim,
             "wires": list(self.wires),
             "scale_exp": self.scale_exp,
@@ -311,31 +298,38 @@ class PureState:
                 for basis in sorted(self.terms)
             ],
         }
-        if self.scale_sq != 1:
-            out["scale_sq"] = str(self.scale_sq)
-        return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> PureState:
         """The state to_json_dict wrote; malformed input raises ValueError naming the field."""
+        _json_known_fields(data, ("dim", "wires", "scale_exp", "terms"))
         dim = _json_field(data, "dim", int)
         terms = {}
         for entry in _json_field(data, "terms", list):
+            _json_known_fields(entry, ("basis", "coeffs"))
             basis = tuple(_json_field(entry, "basis", list, int))
             if basis in terms:
                 raise ValueError(f"state JSON lists basis {list(basis)} twice")
-            coeffs = [_json_fraction(c, "coeffs") for c in _json_field(entry, "coeffs", list)]
-            terms[basis] = CycloElem(dim, coeffs)
-        scale_sq = _json_fraction(data.get("scale_sq", "1"), "scale_sq")
+            coeffs = _json_field(entry, "coeffs", list)
+            if len(coeffs) != dim:
+                raise ValueError(f"state JSON field 'coeffs' has {len(coeffs)} entries, not {dim}")
+            terms[basis] = CycloElem(dim, [_json_fraction(c, "coeffs") for c in coeffs])
         wires = _json_field(data, "wires", list, str)
         # __init__ checks scale_exp's type along with its range
-        return cls(dim, wires, _json_field(data, "scale_exp"), terms, scale_sq)
+        return cls(dim, wires, _json_field(data, "scale_exp"), terms)
 
     def __repr__(self) -> str:
         return (
             f"PureState(dim={self.dim}, wires={self.wires}, scale_exp={self.scale_exp}, "
             f"terms={len(self.terms)})"
         )
+
+
+def _json_known_fields(data, known: tuple[str, ...]) -> None:
+    """Reject keys of data outside known, so no field is silently dropped."""
+    unknown = sorted(set(data).difference(known)) if isinstance(data, dict) else []
+    if unknown:
+        raise ValueError(f"state JSON has unknown field(s) {', '.join(map(repr, unknown))}")
 
 
 def _json_field(data, name: str, kind: type | None = None, item: type | None = None):
@@ -419,13 +413,6 @@ def basis_state(dim: int, wire_values) -> PureState:
 # -- comparison ----------------------------------------------------------------
 
 
-def _factor_text(state: PureState) -> str:
-    text = f"{state.dim}^(-{state.scale_exp}/2)"
-    if state.scale_sq != 1:
-        text += f" * sqrt({state.scale_sq})"
-    return text
-
-
 def first_difference(a: PureState, b: PureState) -> str | None:
     """None when a and b are the same vector, else the first basis state where they differ.
 
@@ -441,8 +428,7 @@ def first_difference(a: PureState, b: PureState) -> str | None:
         raise ValueError(f"wire sets differ: {a.wires} vs {b.wires}")
     perm = tuple(b.wires.index(w) for w in a.wires)
     b_terms = {tuple(basis[i] for i in perm): amp for basis, amp in b.terms.items()}
-    ratio_sq = (b.scale_sq / a.scale_sq) * Fraction(a.dim) ** (a.scale_exp - b.scale_exp)
-    ratio = sqrt_rational(a.dim, ratio_sq)
+    ratio = sqrt_rational(a.dim, Fraction(a.dim) ** (a.scale_exp - b.scale_exp))
     zero = CycloElem.zero(a.dim)
     differing = [
         basis
@@ -455,8 +441,8 @@ def first_difference(a: PureState, b: PureState) -> str | None:
     basis = min(differing)
     labels = ", ".join(f"{w}={v}" for w, v in zip(a.wires, basis))
     return (
-        f"basis ({labels}): ({a.terms.get(basis, zero)}) * {_factor_text(a)}"
-        f" != ({b_terms.get(basis, zero)}) * {_factor_text(b)}"
+        f"basis ({labels}): ({a.terms.get(basis, zero)}) * {a.dim}^(-{a.scale_exp}/2)"
+        f" != ({b_terms.get(basis, zero)}) * {b.dim}^(-{b.scale_exp}/2)"
     )
 
 

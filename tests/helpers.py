@@ -67,21 +67,21 @@ def reference_hadamard(state: PureState, wire: str, conjugate: bool = False) -> 
             contrib = amp.mul_zeta(sign * j * t)
             prev = acc.get(nb)
             acc[nb] = contrib if prev is None else prev + contrib
-    summed = PureState(dim, state.wires, state.scale_exp + 1, acc, state.scale_sq)
+    summed = PureState(dim, state.wires, state.scale_exp + 1, acc)
     terms, scale_exp = summed.terms, summed.scale_exp
     while scale_exp >= 2 and terms and all(
         isinstance(c, int) and c % dim == 0 for amp in terms.values() for c in amp.coeffs
     ):
         terms = {b: CycloElem(dim, tuple(c // dim for c in amp.coeffs)) for b, amp in terms.items()}
         scale_exp -= 2
-    return PureState(dim, state.wires, scale_exp, terms, state.scale_sq)
+    return PureState(dim, state.wires, scale_exp, terms)
 
 
 def state_vector(state: PureState) -> np.ndarray:
     """Flatten a PureState into a dense complex vector (state's wire order)."""
     n = len(state.wires)
     vec = np.zeros(state.dim**n, dtype=complex)
-    scale = float(state.scale_sq) ** 0.5 * state.dim ** (-state.scale_exp / 2)
+    scale = state.dim ** (-state.scale_exp / 2)
     for basis, amp in state.terms.items():
         idx = 0
         for v in basis:

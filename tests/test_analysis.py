@@ -90,7 +90,7 @@ class TestComputeMetrics:
 
 
 class TestExactNextRoundError:
-    @pytest.mark.parametrize("dim", (2, 3, 5, 7, 11, 13))
+    @pytest.mark.parametrize("dim", (2, 3, 5, 7, 8, 9, 11, 13))
     @pytest.mark.parametrize("attack_round", (1, 2, 6))
     def test_matches_closed_form(self, dim, attack_round):
         assert exact_next_round_error(dim, attack_round) == Fraction(dim - 1, dim)

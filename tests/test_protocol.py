@@ -204,6 +204,18 @@ class TestInterceptSession:
         assert session.rounds[1].eve_observation is not None
         assert session.rounds[2].eve_observation is None
 
+    @pytest.mark.parametrize("dim", (4, 6, 8, 9))
+    @pytest.mark.parametrize("rounds", [None, {1, 3}], ids=["every-round", "rounds-1-3"])
+    def test_composite_dim_stages_stay_normalized(self, dim, rounds):
+        # each collapse must find a branch weight that is a power of d
+        for seed in range(3):
+            key = tuple(int(x) for x in make_rng(seed, stream=dim).integers(0, dim, 9))
+            config = ProtocolConfig(dim=dim, num_rounds=9, key=key, rng_seed=seed)
+            session = run_session(config, InterceptResend(rounds))
+            for round_transcript in session.rounds:
+                for label, state in round_transcript.stages:
+                    assert state.norm_squared() == 1, (seed, round_transcript.round_index, label)
+
     @pytest.mark.parametrize("rounds", [{99}, {0, -2}, {1, 4}])
     def test_attack_rounds_outside_session_rejected(self, rounds):
         config = ProtocolConfig(dim=3, num_rounds=3, key=(0, 1, 2), rng_seed=4)

@@ -325,20 +325,23 @@ class TestMeasurement:
         assert collapsed.deterministic_outcome("b") == outcome
         assert collapsed.norm_squared() == 1
 
-    def test_project_renormalizes_non_power_branch(self):
-        # branch norms 1/5 and 4/5: the rational-square factor must absorb
-        # the non-power-of-d remainder while keeping the norm exactly 1
-        st = PureState(
-            3,
-            ("x",),
-            0,
-            {(0,): CycloElem.one(3), (1,): mono(3, 2)},
-            scale_sq=Fraction(1, 5),
-        )
+    def test_collapse_refuses_weight_that_is_no_power_of_d(self):
+        # a normalized d=4 state whose branches weigh 1/2 each: the distribution
+        # is exact, but no factor 4^(-n/2) renormalizes a branch
+        one = CycloElem.one(4)
+        st = PureState(4, ("x", "y"), 1, {(0, 0): one, (0, 1): one, (2, 0): one, (2, 1): one})
         assert st.norm_squared() == 1
-        picked = st.project("x", 1)
-        assert picked.norm_squared() == 1
-        assert set(picked.terms) == {(1,)}
+        assert st.measurement_distribution("x") == {0: Fraction(1, 2), 2: Fraction(1, 2)}
+        with pytest.raises(ValueError, match="branch weight 1/2 is no power of d=4"):
+            st.project("x", 0)
+        with pytest.raises(ValueError, match="branch weight 1/2 is no power of d=4"):
+            st.measure_computational("x", FirstOutcomeRng())
+
+    def test_collapse_refuses_weight_with_other_prime(self):
+        st = PureState(3, ("x",), 0, {(0,): CycloElem.one(3), (1,): mono(3, 2, 2)})
+        with pytest.raises(ValueError, match="branch weight 4 is no power of d=3"):
+            st.project("x", 1)
+        assert state_equals(st.project("x", 0), basis_state(3, [("x", 0)]))
 
     @pytest.mark.parametrize(
         "collapse",
@@ -348,14 +351,14 @@ class TestMeasurement:
         ],
         ids=["measure_computational", "project"],
     )
-    def test_collapse_moves_d_in_denominator_into_scale_exp(self, collapse):
-        # branch weight 9 leaves scale_sq = 1/9, whose denominator holds d twice
+    def test_collapse_moves_powers_of_d_in_weight_into_scale_exp(self, collapse):
+        # branch weight 9 holds d twice
         st = PureState(
             3, ("x", "y"), 0,
             {(0, 0): CycloElem.from_rational(3, 3), (1, 0): CycloElem.one(3)},
         )
         collapsed = collapse(st)
-        assert (collapsed.scale_exp, collapsed.scale_sq) == (2, 1)
+        assert collapsed.scale_exp == 2
         assert collapsed.norm_squared() == 1
         assert state_equals(collapsed, basis_state(3, [("x", 0), ("y", 0)]))
 
@@ -389,7 +392,7 @@ class TestMeasurement:
         collapsed = collapse(st)
         assert len(built) == 1
         assert collapsed.norm_squared() == 1
-        assert (collapsed.scale_exp, collapsed.scale_sq) == (0, 1)
+        assert collapsed.scale_exp == 0
 
     def test_measurement_squares_each_amplitude_once(self, monkeypatch):
         st = bell_state(5)
@@ -472,10 +475,6 @@ class TestStateEquals:
         st = PureState(3, ("x",), 0, {(0,): CycloElem.one(3)})
         inflated = PureState(3, ("x",), 2, {(0,): mono(3, 3)})
         assert state_equals(st, inflated)
-        odd = PureState(
-            3, ("x",), 1, {(0,): CycloElem.one(3)}, scale_sq=Fraction(3)
-        )
-        assert state_equals(st, odd)
 
     def test_global_phase_is_significant(self):
         bell = bell_state(3)
@@ -526,10 +525,6 @@ class TestStateEquals:
         a = PureState(3, ("x",), 0, {(0,): CycloElem.one(3), (1,): CycloElem.one(3)})
         b = PureState(3, ("x",), 1, {(0,): amp, (1,): -amp})
         assert first_difference(a, b) == "basis (x=0): (1) * 3^(-0/2) != (1 + 2*z) * 3^(-1/2)"
-        shrunk = PureState(3, ("x",), 0, {(0,): CycloElem.one(3)}, scale_sq=Fraction(1, 5))
-        assert first_difference(shrunk, basis_state(3, [("x", 0)])) == (
-            "basis (x=0): (1) * 3^(-0/2) * sqrt(1/5) != (1) * 3^(-0/2)"
-        )
 
     def test_first_difference_keys_basis_by_first_states_wires(self):
         p = basis_state(3, [("a", 1), ("b", 0)])
@@ -565,16 +560,6 @@ class TestSerialization:
         clone = PureState.from_json_dict(json.loads(text))
         assert state_equals(clone, STAGES3["Omega_2"])
 
-    def test_scale_sq_round_trip(self):
-        st = PureState(
-            3, ("x",), 0,
-            {(0,): CycloElem.one(3), (1,): mono(3, 2)},
-            scale_sq=Fraction(1, 5),
-        )
-        clone = PureState.from_json_dict(st.to_json_dict())
-        assert clone.scale_sq == Fraction(1, 5)
-        assert state_equals(st, clone)
-
     @pytest.mark.parametrize(
         "change,field",
         [
@@ -587,13 +572,16 @@ class TestSerialization:
             ({"scale_exp": "1"}, "scale_exp"),
             ({"dim": "3"}, "'dim'"),
             ({"wires": "k"}, "'wires'"),
-            ({"scale_sq": "1/0"}, "'scale_sq'"),
+            ({"scale_sq": "1"}, "'scale_sq'"),
+            ({"terms": [{"basis": [1], "coeffs": ["1", "0", "0"], "scale": "1"}]}, "'scale'"),
+            ({"terms": [{"basis": [1], "coeffs": ["1", "0"]}]}, "'coeffs'"),
             ({"terms": None}, "'terms'"),
         ],
         ids=[
             "duplicate-basis", "bool-basis", "string-basis", "zero-denominator",
             "float-coeff", "bool-scale-exp", "string-scale-exp", "string-dim",
-            "string-wires", "zero-denominator-scale-sq", "missing-terms",
+            "string-wires", "scale-sq-field", "unknown-term-field", "short-coeffs",
+            "missing-terms",
         ],
     )
     def test_malformed_json_raises_value_error(self, change, field):
