@@ -1,7 +1,8 @@
 """Session metrics, exact disturbance enumeration, and Monte-Carlo experiments.
 
-The exact enumerators never sample: they take each round up to Bob's
-measurement from protocol._transmit, as run_round does, and branch on
+The exact enumerators never sample: they take each round's unlabelled
+states up to Bob's measurement from protocol._transmit, as run_round
+does, read the in-transit and decoded states off its end, and branch on
 every outcome with measurement_distribution and project.  They take any
 dimension and attack round.
 """
@@ -91,10 +92,10 @@ def _honest_transit(dim: int, attack_round: int, key, rounds: int) -> PureState:
         raise ValueError(f"need at least {rounds} key dits, got {len(key)}")
     st = bell_state(dim)
     for i in range(1, attack_round):
-        stages, _ = _transmit(st, i, key[i - 1], _HONEST, None)
-        st = stages[-1][1].drop_wire(TRANSIT_WIRE)
-    stages, _ = _transmit(st, attack_round, key[attack_round - 1], _HONEST, None)
-    return dict(stages)["in_transit"]
+        states, _ = _transmit(st, i, key[i - 1], _HONEST, None)
+        st = states[-1].drop_wire(TRANSIT_WIRE)
+    states, _ = _transmit(st, attack_round, key[attack_round - 1], _HONEST, None)
+    return states[-2]
 
 
 def exact_next_round_error(dim: int, attack_round: int, key=None) -> Fraction:
@@ -114,7 +115,7 @@ def exact_next_round_error(dim: int, attack_round: int, key=None) -> Fraction:
         for bob_outcome, p_bob in decoded.measurement_distribution(TRANSIT_WIRE).items():
             shared = decoded.project(TRANSIT_WIRE, bob_outcome).drop_wire(TRANSIT_WIRE)
             follow, _ = _transmit(shared, rounds, target, _HONEST, None)
-            dist = follow[-1][1].measurement_distribution(TRANSIT_WIRE)
+            dist = follow[-1].measurement_distribution(TRANSIT_WIRE)
             error += p_eve * p_bob * (1 - dist.get(target, Fraction(0)))
     return error
 

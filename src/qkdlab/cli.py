@@ -33,6 +33,7 @@ from .closed_forms import eavesdrop_stage_states
 from .protocol import (
     ProtocolConfig,
     announce_subsequence,
+    check_seed,
     dump_transcript,
     make_rng,
     parse_announce,
@@ -60,19 +61,28 @@ def _dit_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _seed(text: str) -> int:
+    try:
+        return check_seed(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in [0, 2**64), got {text!r}"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qkdlab", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--d", type=int, default=3, help="qudit dimension (default 3)")
-    common.add_argument("--seed", type=int, default=0, help="session RNG seed (default 0)")
+    common.add_argument("--seed", type=_seed, default=0, help="session RNG seed (default 0)")
 
     # run and verify-paper simulate one key; experiment draws a fresh one per trial
     keyed = argparse.ArgumentParser(add_help=False)
     key_group = keyed.add_mutually_exclusive_group()
     key_group.add_argument("--key", type=_dit_list, help="comma-separated key dits")
-    key_group.add_argument("--key-seed", type=int, help="derive a random key from this seed")
+    key_group.add_argument("--key-seed", type=_seed, help="derive a random key from this seed")
 
     # run and experiment choose the session's length and adversary
     session = argparse.ArgumentParser(add_help=False)
@@ -150,6 +160,9 @@ def _make_adversary(args, parser, num_rounds: int):
             return InterceptResend()
         if not all(1 <= index <= num_rounds for index in rounds):
             parser.error(f"--intercept-rounds must name rounds in 1..{num_rounds}, got {rounds}")
+        for i, index in enumerate(rounds):
+            if index in rounds[:i]:
+                parser.error(f"--intercept-rounds index {index} repeated")
         return InterceptResend(rounds)
     return GaoAttack()
 

@@ -9,19 +9,20 @@ leaves the shared pair in its initial entangled state, which is reused
 by the next round.
 
 _transmit is the one place that knows the steps of a round up to Bob's
-measurement and names their stages; run_round adds the measurement (and
-the psi_<i>_1 stage after it), and the exact enumerators branch on it
-instead.  Transcripts snapshot the state at labelled stages.  Honest
-and intercepted rounds use the generic labels pre_encode / post_encode /
-in_transit / post_decode; rounds attacked by the ancilla strategy use
-the per-round families psi_<i>_0, Phi_0..3 / Psi_0..3 / Omega_0..4 /
-Theta_0..3 / Upsilon_0..4, psi_<i>_1, where the states the strategy
-produced in transit are numbered from <prefix>_2 on.
+measurement and returns their states unlabelled; run_round adds the
+measurement, and the exact enumerators branch on it instead.
+_label_stages alone names the states that transcripts snapshot.  Rounds
+with no stage prefix (honest and intercepted) record the generic labels
+pre_encode / post_encode / in_transit / post_decode; rounds attacked by
+the ancilla strategy record psi_<i>_0, then the per-round family Phi_0..3
+/ Psi_0..3 / Omega_0..4 / Theta_0..3 / Upsilon_0..4 from pre_encode to
+post_decode, then psi_<i>_1 after Bob's measurement.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,10 +51,21 @@ class ProtocolViolationError(RuntimeError):
     """An adversary hook returned a state the round cannot continue from."""
 
 
+def check_seed(value: int, name: str = "seed") -> int:
+    """value, if it is an integer in [0, 2**64), the range of one Philox key word."""
+    value = operator.index(value)  # a float raises TypeError rather than being truncated
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+    return value
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator; distinct (seed, stream) pairs are independent."""
-    mask = (1 << 64) - 1
-    key = np.array([seed & mask, stream & mask], dtype=np.uint64)
+    """Counter-based generator; distinct (seed, stream) pairs are independent.
+
+    Both lie in [0, 2**64); a value outside raises ValueError rather than
+    aliasing another seed.
+    """
+    key = np.array([check_seed(seed), check_seed(stream, "stream")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -76,6 +88,7 @@ class ProtocolConfig:
             )
         if any(not 0 <= q < self.dim for q in self.key):
             raise ValueError(f"key dits must lie in [0, {self.dim}), got {self.key}")
+        check_seed(self.rng_seed, "rng_seed")
 
 
 @dataclass(frozen=True)
@@ -141,41 +154,40 @@ def _transmit(
     key_dit: int,
     strategy: AdversaryStrategy,
     rng,
-) -> tuple[list[tuple[str, PureState]], int | None]:
-    """A round up to Bob's measurement: its labelled stages and the adversary's value.
+) -> tuple[list[PureState], int | None]:
+    """A round up to Bob's measurement: its states, in order, and the adversary's value.
 
-    Steps: shared basis change (with the adversary's basis hook at the
-    same point), adjoin the transit qudit in |key_dit>, Alice's
-    right-shift, the adversary's transit hook and Bob's left-shift, whose
-    result is the last stage.
+    The states are the shared basis change (with the adversary's basis
+    hook), pre_encode, post_encode, every state the transit hook
+    produced, and post_decode, which Bob measures.
     """
-    prefix = strategy.stage_prefix(round_index)
-    stages: list[tuple[str, PureState]] = []
-
-    st = state.apply_hadamard(ALICE_WIRE).apply_hadamard(BOB_WIRE, conjugate=True)
-    st = strategy.on_basis_change(st, round_index)
-    if prefix is not None:
-        stages.append((f"psi_{round_index}_0", st))
-
-    st = st.tensor(basis_state(state.dim, [(TRANSIT_WIRE, key_dit)]))
-    st = st.reorder_wires(_display_order(st.wires))
-    stages.append((f"{prefix}_0" if prefix else "pre_encode", st))
-
-    st = st.apply_controlled_shift(ALICE_WIRE, TRANSIT_WIRE, "right")
-    stages.append((f"{prefix}_1" if prefix else "post_encode", st))
-
-    transit, observation = strategy.on_transit(st, round_index, rng)
-    st = transit[-1]
-    if TRANSIT_WIRE not in st.wires:
+    basis = state.apply_hadamard(ALICE_WIRE).apply_hadamard(BOB_WIRE, conjugate=True)
+    basis = strategy.on_basis_change(basis, round_index)
+    pre_encode = basis.tensor(basis_state(state.dim, [(TRANSIT_WIRE, key_dit)]))
+    pre_encode = pre_encode.reorder_wires(_display_order(pre_encode.wires))
+    post_encode = pre_encode.apply_controlled_shift(ALICE_WIRE, TRANSIT_WIRE, "right")
+    transit, observation = strategy.on_transit(post_encode, round_index, rng)
+    if TRANSIT_WIRE not in transit[-1].wires:
         raise ProtocolViolationError("adversary hook removed the transit wire")
-    if prefix is None:
-        stages.append(("in_transit", st))
-    else:
-        stages.extend((f"{prefix}_{2 + i}", s) for i, s in enumerate(transit))
+    return [basis, pre_encode, post_encode, *transit, _decode(transit[-1])], observation
 
-    st = _decode(st)
-    stages.append((f"{prefix}_{2 + len(transit)}" if prefix else "post_decode", st))
-    return stages, observation
+
+def _label_stages(
+    states: list[PureState], measured: PureState, round_index: int, prefix: str | None
+) -> tuple[tuple[str, PureState], ...]:
+    """Label _transmit's states and Bob's measured state in one of the two schemes."""
+    if prefix is None:
+        return (
+            ("pre_encode", states[1]),
+            ("post_encode", states[2]),
+            ("in_transit", states[-2]),
+            ("post_decode", states[-1]),
+        )
+    return (
+        (f"psi_{round_index}_0", states[0]),
+        *((f"{prefix}_{i}", s) for i, s in enumerate(states[1:])),
+        (f"psi_{round_index}_1", measured),
+    )
 
 
 def run_round(
@@ -190,14 +202,11 @@ def run_round(
     _transmit, then Bob's measurement and removal of the consumed transit wire.
     """
     strategy = adversary if adversary is not None else AdversaryStrategy()
-    stages, observation = _transmit(state, round_index, key_dit, strategy, rng)
-    outcome, st, _ = stages[-1][1].measure_computational(TRANSIT_WIRE, rng)
+    states, observation = _transmit(state, round_index, key_dit, strategy, rng)
+    outcome, st, _ = states[-1].measure_computational(TRANSIT_WIRE, rng)
     st = st.drop_wire(TRANSIT_WIRE)
-    if strategy.stage_prefix(round_index) is not None:
-        stages.append((f"psi_{round_index}_1", st))
-
-    transcript = RoundTranscript(round_index, tuple(stages), outcome, observation)
-    return st, transcript
+    stages = _label_stages(states, st, round_index, strategy.stage_prefix(round_index))
+    return st, RoundTranscript(round_index, stages, outcome, observation)
 
 
 def run_session(

@@ -293,7 +293,7 @@ class PureState:
             "terms": [
                 {
                     "basis": list(basis),
-                    "coeffs": [str(Fraction(c)) for c in self.terms[basis].coeffs],
+                    "coeffs": [str(c) for c in self.terms[basis].coeffs],
                 }
                 for basis in sorted(self.terms)
             ],

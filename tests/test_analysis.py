@@ -64,6 +64,15 @@ class TestComputeMetrics:
         # 2 usable rounds remain, both correct
         assert metrics.qber_overall == 0
 
+    def test_every_round_announced(self):
+        # no usable round is left, so the overall error rate is 0 by definition
+        session, config = session_for(3, (1, 0, 2))
+        announce_subsequence(session, [1, 2, 3])
+        metrics = compute_metrics(session, config.key)
+        assert metrics.qber_overall == 0
+        assert metrics.qber_by_round == (0, 0, 0)
+        assert not metrics.detection_triggered
+
     def test_detection_flag(self):
         # seed chosen so the intercepted round-2 outcome differs from the key
         for seed in range(40):

@@ -370,6 +370,29 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv", [["run"], ["experiment", "--trials", "2"]], ids=["run", "experiment"]
     )
+    def test_repeated_intercept_rounds_index(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--rounds", "5", "--attack", "intercept",
+                      "--intercept-rounds", "2,4,2"])
+        assert info.value.code == 64
+        assert "--intercept-rounds index 2 repeated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", str(2**64)], ids=["negative", "2**64"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--seed"], ["verify-paper", "--seed"], ["experiment", "--trials", "2", "--seed"],
+         ["run", "--key-seed"], ["verify-paper", "--key-seed"]],
+        ids=["run-seed", "verify-seed", "experiment-seed", "run-key-seed", "verify-key-seed"],
+    )
+    def test_seed_outside_64_bits(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, value])
+        assert info.value.code == 64
+        assert f"expected an integer in [0, 2**64), got '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["run"], ["experiment", "--trials", "2"]], ids=["run", "experiment"]
+    )
     @pytest.mark.parametrize("attack", [[], ["--attack", "none"], ["--attack", "gao"]],
                              ids=["default", "none", "gao"])
     def test_intercept_rounds_without_intercept_attack(self, capsys, argv, attack):

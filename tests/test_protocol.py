@@ -44,6 +44,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProtocolConfig(dim=3, num_rounds=0, key=())
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_must_be_a_64_bit_word(self, seed):
+        with pytest.raises(ValueError, match=rf"^rng_seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            ProtocolConfig(dim=3, num_rounds=1, key=(0,), rng_seed=seed)
+
 
 class TestRng:
     def test_seed_determinism(self):
@@ -55,6 +60,25 @@ class TestRng:
         a = make_rng(5, stream=1).integers(0, 100, 8)
         b = make_rng(5, stream=2).integers(0, 100, 8)
         assert list(a) != list(b)
+
+    @pytest.mark.parametrize(
+        "seed, stream, name, value",
+        [(-1, 0, "seed", -1), (2**64, 0, "seed", 2**64),
+         (0, -1, "stream", -1), (0, 2**64, "stream", 2**64)],
+        ids=["seed-negative", "seed-2**64", "stream-negative", "stream-2**64"],
+    )
+    def test_values_outside_64_bits_are_refused(self, seed, stream, name, value):
+        # masking them would alias -1 with 2**64 - 1 and 2**64 with 0
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 2\*\*64\), got {value}$"):
+            make_rng(seed, stream)
+
+    def test_float_seed_is_refused_not_truncated(self):
+        with pytest.raises(TypeError):
+            make_rng(1.5)
+
+    def test_largest_seed_and_stream_accepted(self):
+        top = 2**64 - 1
+        assert list(make_rng(top, top).integers(0, 100, 8)) != list(make_rng(0).integers(0, 100, 8))
 
 
 class TestHonestRound:

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -408,6 +409,37 @@ class TestMeasurement:
         assert len(calls) == len(st.terms)
         assert prob == Fraction(1, 5)
         assert set(collapsed.terms) == {(outcome, outcome)}
+
+
+ZERO_STATE = PureState(3, ("x",), 0, {(0,): CycloElem.zero(3)})  # its one term is pruned
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: PureState(1, ("x",), 0, {}), ValueError, "dimension must be at least 2, got 1"),
+        (lambda: PureState(3, (), 0, {}), ValueError, "a state needs at least one wire"),
+        (lambda: PureState(3, ("x",), 0, {(0,): 1}), TypeError,
+         "amplitude must be CycloElem, got int"),
+        (lambda: bell_state(3).tensor(basis_state(2, [("k", 0)])), ValueError,
+         "dimension mismatch: 3 != 2"),
+        (lambda: bell_state(3).reorder_wires(("a", "a")), ValueError,
+         "('a', 'a') is not a permutation of ('a', 'b')"),
+        (lambda: ZERO_STATE.measurement_distribution("x"), ValueError,
+         "cannot measure a zero state"),
+        (lambda: ZERO_STATE.measure_computational("x", FirstOutcomeRng()), ValueError,
+         "cannot measure a zero state"),
+        (lambda: bell_state(3).project("a", 3), ValueError,
+         "outcome 3 out of range for dimension 3"),
+        (lambda: basis_state(3, [("k", 1)]).drop_wire("k"), ValueError,
+         "cannot drop the last wire of a state"),
+    ],
+    ids=["dim-1", "no-wires", "int-amplitude", "tensor-dims", "reorder-not-permutation",
+         "distribution-zero-state", "measure-zero-state", "project-outcome-d", "drop-only-wire"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestDropWire:
