@@ -107,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", parents=[common, keyed, session], help="simulate one session")
     run.add_argument("--trace", help="write the session transcript (JSON) to this path")
+    run.set_defaults(handler=cmd_run, parser=run)
 
     verify = sub.add_parser(
         "verify-paper",
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--trace", help="write the session transcript (JSON) to this path")
     # the closed forms describe a five-round session
-    verify.set_defaults(rounds=5)
+    verify.set_defaults(rounds=5, handler=cmd_verify_paper, parser=verify)
 
     experiment = sub.add_parser(
         "experiment", parents=[common, session], help="aggregate many seeded sessions"
@@ -125,6 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "csv"), default="json", help="report format"
     )
     experiment.add_argument("--trace", help="write the report to this path")
+    experiment.set_defaults(handler=cmd_experiment, parser=experiment)
     return parser
 
 
@@ -262,15 +264,11 @@ def cmd_experiment(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "run": cmd_run,
-        "verify-paper": cmd_verify_paper,
-        "experiment": cmd_experiment,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args, parser)
+        # args.parser is the subcommand's own, so the usage errors a handler
+        # finds read "qkdlab run: error: ..." like the ones argparse finds
+        return args.handler(args, args.parser)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

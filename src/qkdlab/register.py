@@ -16,11 +16,18 @@ coefficient, all amplitudes are divided by d and scale_exp drops by 2.
 
 Born weights (|amplitude|**2 summed per value of a wire) are computed in
 one place, which norm_squared, measurement_distribution, project and
-measure_computational share.  A collapse moves the branch weight's
-powers of d into scale_exp and builds one state; it raises ValueError
-when the weight is no power of d.  Every Born weight on the protocol's
-stabilizer states is such a power, so no protocol path reaches that
-error.
+measure_computational share.  Like the Hadamard, it works on plain rows:
+each term whose amplitude is sum_i c_i zeta**i adds c_i * c_j into
+row[(i - j) % d] of its branch, and each branch's row becomes one
+CycloElem, whose constructor reduces it; a branch whose weight is not
+rational raises ValueError.  A collapse moves the branch weight's powers
+of d into scale_exp and builds one state; it raises ValueError when the
+weight is no power of d.  Every Born weight on the protocol's stabilizer
+states is such a power, so no protocol path reaches that error.
+
+The public constructor checks every term.  Gates, collapses and
+drop_wire build their terms from a state that is already valid, so they
+go through the unchecked PureState._derived instead.
 
 Wires are plain string labels.  The four canonical protocol wires are
 Alice's and Bob's halves of the shared pair, the travelling key qudit,
@@ -84,6 +91,19 @@ class PureState:
         self.scale_exp = scale_exp
         self.terms = clean
 
+    @classmethod
+    def _derived(cls, dim: int, wires: tuple, scale_exp: int, terms: dict) -> PureState:
+        # internal fast path, like CycloElem._raw: the caller built terms
+        # fresh from a valid state, so every basis tuple fits wires and dim,
+        # every amplitude is a nonzero CycloElem of dimension dim, and the
+        # state takes ownership of the dict
+        state = object.__new__(cls)
+        state.dim = dim
+        state.wires = wires
+        state.scale_exp = scale_exp
+        state.terms = terms
+        return state
+
     # -- construction helpers ------------------------------------------------
 
     def wire_index(self, wire: Wire) -> int:
@@ -103,7 +123,9 @@ class PureState:
         for b1, a1 in self.terms.items():
             for b2, a2 in other.terms.items():
                 terms[b1 + b2] = a1 * a2
-        return PureState(self.dim, self.wires + other.wires, self.scale_exp + other.scale_exp, terms)
+        return PureState._derived(
+            self.dim, self.wires + other.wires, self.scale_exp + other.scale_exp, terms
+        )
 
     def reorder_wires(self, order) -> PureState:
         order = tuple(order)
@@ -111,7 +133,7 @@ class PureState:
             raise ValueError(f"{order} is not a permutation of {self.wires}")
         perm = tuple(self.wires.index(w) for w in order)
         terms = {tuple(b[i] for i in perm): amp for b, amp in self.terms.items()}
-        return PureState(self.dim, order, self.scale_exp, terms)
+        return PureState._derived(self.dim, order, self.scale_exp, terms)
 
     # -- gates ---------------------------------------------------------------
 
@@ -128,7 +150,7 @@ class PureState:
         for basis, amp in self.terms.items():
             shifted = (basis[ti] + sign * basis[ci]) % dim
             terms[basis[:ti] + (shifted,) + basis[ti + 1:]] = amp
-        return PureState(dim, self.wires, self.scale_exp, terms)
+        return PureState._derived(dim, self.wires, self.scale_exp, terms)
 
     def apply_hadamard(self, wire: Wire, conjugate: bool = False) -> PureState:
         """Generalized Hadamard on one wire: |j> -> d**-1/2 sum_t zeta**(jt) |t>.
@@ -170,23 +192,32 @@ class PureState:
         ):
             terms = {b: CycloElem(dim, [c // dim for c in amp.coeffs]) for b, amp in terms.items()}
             scale_exp -= 2
-        return PureState(dim, self.wires, scale_exp, terms)
+        return PureState._derived(dim, self.wires, scale_exp, terms)
 
     # -- measurement ---------------------------------------------------------
 
     def _branch_weights(self, idx: int | None, terms=None) -> dict:
         """Unnormalized Born weight of each value wire idx takes among terms.
 
-        terms defaults to all terms; idx None puts them in one branch, keyed None.
+        terms defaults to all terms; idx None puts them in one branch, keyed
+        None.  Each branch sums its terms' c_i * c_j into one plain row at
+        index (i - j) % d and builds one CycloElem from it; rational_value
+        raises ValueError when that weight is not rational.
         """
-        sums: dict = {}
+        dim = self.dim
+        rows: dict = {}
         for basis, amp in (self.terms if terms is None else terms).items():
             v = None if idx is None else basis[idx]
-            contrib = amp * amp.conj()
-            prev = sums.get(v)
-            sums[v] = contrib if prev is None else prev + contrib
-        weight = Fraction(1, self.dim**self.scale_exp)
-        return {v: weight * rational_value(s) for v, s in sums.items()}
+            row = rows.get(v)
+            if row is None:
+                row = rows[v] = [0] * dim
+            # |sum_i c_i zeta**i|**2 = sum_{i,j} c_i c_j zeta**(i-j)
+            nonzero = [(i, c) for i, c in enumerate(amp.coeffs) if c]
+            for i, a in nonzero:
+                for j, b in nonzero:
+                    row[(i - j) % dim] += a * b
+        weight = Fraction(1, dim**self.scale_exp)
+        return {v: weight * rational_value(CycloElem(dim, row)) for v, row in rows.items()}
 
     def measurement_distribution(self, wire: Wire) -> dict[int, Fraction]:
         """Exact Born probabilities for a computational measurement of wire."""
@@ -222,7 +253,7 @@ class PureState:
             scale_exp -= 1
         if num != 1 or den != 1 or scale_exp < 0:
             raise ValueError(f"branch weight {weight} is no power of d={dim} that scale_exp can absorb")
-        return PureState(dim, self.wires, scale_exp, branch)
+        return PureState._derived(dim, self.wires, scale_exp, branch)
 
     def measure_computational(self, wire: Wire, rng) -> tuple[int, PureState, Fraction]:
         """Sample an outcome with exact Born weights; rng supplies one uniform draw.
@@ -259,7 +290,7 @@ class PureState:
             raise ValueError("cannot drop the last wire of a state")
         wires = self.wires[:idx] + self.wires[idx + 1:]
         terms = {b[:idx] + b[idx + 1:]: a for b, a in self.terms.items()}
-        return PureState(self.dim, wires, self.scale_exp, terms)
+        return PureState._derived(self.dim, wires, self.scale_exp, terms)
 
     # -- aggregates ----------------------------------------------------------
 

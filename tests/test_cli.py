@@ -401,6 +401,29 @@ class TestUsageErrors:
         assert info.value.code == 64
         assert "--intercept-rounds needs --attack intercept" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--attack", "intercept", "--intercept-rounds", "2,2"],
+             "--intercept-rounds index 2 repeated"),
+            (["verify-paper", "--d", "0"], "dimension must be at least 2, got 0"),
+            (["experiment", "--trials", "0"], "--trials must be positive, got 0"),
+        ],
+        ids=["run", "verify-paper", "experiment"],
+    )
+    def test_checked_after_parsing_reads_like_argparse(self, capsys, argv, message):
+        # an error argparse finds in the same subcommand gives the reference usage lines
+        with pytest.raises(SystemExit):
+            cli.main([argv[0], "--seed", "-1"])
+        reference = capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 64
+        err = capsys.readouterr().err
+        prog = f"qkdlab {argv[0]}"
+        assert err.endswith(f"\n{prog}: error: {message}\n")
+        assert err.split(f"{prog}: error: ")[0] == reference.split(f"{prog}: error: ")[0]
+
 
 class TestModuleEntry:
     def test_importable_main(self):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from helpers import (
     assert_vectors_close,
@@ -15,8 +17,9 @@ from helpers import (
     reference_hadamard,
     state_vector,
 )
+from qkdlab.adversary import GaoAttack, InterceptResend
 from qkdlab.closed_forms import eavesdrop_stage_states
-from qkdlab.protocol import make_rng
+from qkdlab.protocol import ProtocolConfig, make_rng, run_session
 from qkdlab.register import (
     DensityMatrixSlice,
     PureState,
@@ -383,32 +386,107 @@ class TestMeasurement:
     def test_collapse_builds_one_state(self, monkeypatch, collapse):
         st = bell_state(5)
         built = []
-        original = PureState.__init__
+        original_init, original_derived = PureState.__init__, PureState._derived
 
-        def counted(self, *args, **kwargs):
-            built.append(1)
-            original(self, *args, **kwargs)
+        def counted_init(self, *args):
+            built.append("checked")
+            original_init(self, *args)
 
-        monkeypatch.setattr(PureState, "__init__", counted)
+        def counted_derived(cls, *args):
+            built.append("derived")
+            return original_derived(*args)
+
+        monkeypatch.setattr(PureState, "__init__", counted_init)
+        monkeypatch.setattr(PureState, "_derived", classmethod(counted_derived))
         collapsed = collapse(st)
-        assert len(built) == 1
+        # the collapsed terms come from a valid state, so they skip the checks
+        assert built == ["derived"]
         assert collapsed.norm_squared() == 1
         assert collapsed.scale_exp == 0
 
     def test_measurement_squares_each_amplitude_once(self, monkeypatch):
+        # each branch's |amplitude|**2 sum is one plain row, reduced into one
+        # CycloElem; no amplitude is conjugated as a ring element
         st = bell_state(5)
-        calls = []
-        original = CycloElem.conj
+        built, conj_calls = [], []
+        original_init, original_conj = CycloElem.__init__, CycloElem.conj
 
-        def counted(self):
-            calls.append(1)
-            return original(self)
+        def counted_init(self, *args):
+            built.append(1)
+            original_init(self, *args)
 
-        monkeypatch.setattr(CycloElem, "conj", counted)
+        def counted_conj(self):
+            conj_calls.append(1)
+            return original_conj(self)
+
+        monkeypatch.setattr(CycloElem, "__init__", counted_init)
+        monkeypatch.setattr(CycloElem, "conj", counted_conj)
         outcome, collapsed, prob = st.measure_computational("a", make_rng(23))
-        assert len(calls) == len(st.terms)
+        assert len(built) == 5  # one branch per value of wire a
+        assert conj_calls == []
         assert prob == Fraction(1, 5)
         assert set(collapsed.terms) == {(outcome, outcome)}
+
+
+@strategies.composite
+def ring_states(draw):
+    """A one- or two-wire state with Fraction amplitudes of 1 to d nonzero coefficients.
+
+    Monomial amplitudes give rational Born weights; the others mostly do not.
+    """
+    dim = draw(strategies.integers(2, 12))
+    n_wires = draw(strategies.integers(1, 2))
+    bases = draw(strategies.lists(
+        strategies.tuples(*[strategies.integers(0, dim - 1)] * n_wires),
+        min_size=1, max_size=8, unique=True,
+    ))
+    fractions = strategies.builds(
+        Fraction, strategies.integers(-6, 6).filter(bool), strategies.integers(1, 4)
+    )
+    terms = {}
+    for basis in bases:
+        placed = draw(strategies.dictionaries(
+            strategies.integers(0, dim - 1), fractions, min_size=1, max_size=dim
+        ))
+        terms[basis] = CycloElem(dim, [placed.get(t, 0) for t in range(dim)])
+    scale_exp = draw(strategies.integers(0, 3))
+    return PureState(dim, ("x", "y")[:n_wires], scale_exp, terms)
+
+
+class TestBornWeightRows:
+    @settings(max_examples=300, deadline=None)
+    @given(strategies.data())
+    def test_rows_match_ring_sum_of_squares(self, data):
+        state = data.draw(ring_states())
+        idx = data.draw(strategies.sampled_from([None, *range(len(state.wires))]))
+        sums = {}
+        for basis, amp in state.terms.items():
+            v = None if idx is None else basis[idx]
+            sums[v] = sums.get(v, CycloElem.zero(state.dim)) + amp * amp.conj()
+        if any(any(s.coeffs[1:]) for s in sums.values()):
+            with pytest.raises(ValueError, match="not rational"):
+                state._branch_weights(idx)
+            return
+        scale = Fraction(1, state.dim**state.scale_exp)
+        assert state._branch_weights(idx) == {v: scale * rational_value(s) for v, s in sums.items()}
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+@pytest.mark.parametrize(
+    "make_adversary", [lambda: None, InterceptResend, GaoAttack],
+    ids=["honest", "intercept", "gao"],
+)
+def test_session_states_pass_the_public_checks(dim, make_adversary):
+    # gates, collapses and drop_wire skip PureState's checks because they
+    # derive their terms from a valid state; every state a session makes
+    # must still pass them unchanged
+    key = tuple(int(x) for x in make_rng(dim, stream=1).integers(0, dim, 4))
+    session = run_session(ProtocolConfig(dim, 4, key, rng_seed=dim), make_adversary())
+    states = [s for r in session.rounds for _, s in r.stages] + [session.final_shared_state]
+    for state in states:
+        rebuilt = PureState(state.dim, state.wires, state.scale_exp, state.terms)
+        assert rebuilt.terms == state.terms
+        assert all(amp for amp in state.terms.values())
 
 
 ZERO_STATE = PureState(3, ("x",), 0, {(0,): CycloElem.zero(3)})  # its one term is pruned
@@ -433,9 +511,14 @@ ZERO_STATE = PureState(3, ("x",), 0, {(0,): CycloElem.zero(3)})  # its one term 
          "outcome 3 out of range for dimension 3"),
         (lambda: basis_state(3, [("k", 1)]).drop_wire("k"), ValueError,
          "cannot drop the last wire of a state"),
+        # |1 + z|**2 = 2 + z + z^4, which reduces to 1 - z^2 - z^3 at d=5
+        (lambda: PureState(5, ("x",), 0, {(0,): CycloElem(5, (1, 1, 0, 0, 0))})
+         .measurement_distribution("x"), ValueError,
+         "element is not rational: CycloElem(5, (1, 0, -1, -1, 0))"),
     ],
     ids=["dim-1", "no-wires", "int-amplitude", "tensor-dims", "reorder-not-permutation",
-         "distribution-zero-state", "measure-zero-state", "project-outcome-d", "drop-only-wire"],
+         "distribution-zero-state", "measure-zero-state", "project-outcome-d", "drop-only-wire",
+         "distribution-irrational-weight"],
 )
 def test_refusals(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
