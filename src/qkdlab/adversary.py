@@ -10,13 +10,13 @@ reads off the current key dit shifted by the (unknown) first one.  A
 single later announcement of any odd dit then pins the first dit down,
 and with it every odd dit the attacker observed.
 
-Strategies are stateless hooks that protocol.run_round calls at two
+Strategies are stateless hooks that protocol._round calls at two
 points of every round: after the shared basis change and while the key
-qudit is in transit.  The transit hook returns the states it produced,
-unlabelled, and the value it read; run_round names them and records the
-value on the round's transcript, which is the only record of what the
-attacker saw.  A strategy brings its own wires: the session starts from
-the bare shared pair.
+qudit is in transit.  The transit hook measures only through the
+measure function it is handed, never an rng, and returns its branches;
+the value each branch read is the only record of what the attacker
+saw.  A strategy brings its own wires: the session starts from the
+bare shared pair.
 """
 
 from __future__ import annotations
@@ -77,9 +77,10 @@ class AdversaryStrategy:
     """Pass-through channel; subclasses override the two hooks.
 
     Strategies keep no per-session state, so one instance can serve any
-    number of sessions.  on_transit returns the states it produced, in
-    order (the last one travels on to Bob), and the value it read or
-    None; run_round names the states.
+    number of sessions.  on_transit returns (states, value, probability)
+    branches, told apart by the value read (None if none): the states it
+    produced, in order, the last travelling on to Bob.  measure(state,
+    wire) gives the (outcome, collapsed, probability) measurement branches.
     """
 
     kind = "none"
@@ -89,8 +90,8 @@ class AdversaryStrategy:
     def on_basis_change(self, state: PureState, round_index: int) -> PureState:
         return state
 
-    def on_transit(self, state: PureState, round_index: int, rng) -> tuple[list[PureState], int | None]:
-        return [state], None
+    def on_transit(self, state: PureState, round_index: int, measure) -> list:
+        return [([state], None, 1)]
 
     def stage_prefix(self, round_index: int) -> str | None:
         """Stage-name family for the round, or None for the generic labels."""
@@ -106,12 +107,11 @@ class InterceptResend(AdversaryStrategy):
         if attack_rounds is not None:
             self.attack_rounds = tuple(sorted(set(attack_rounds)))
 
-    def on_transit(self, state, round_index, rng):
+    def on_transit(self, state, round_index, measure):
         """Measure the travelling qudit and forward the collapsed state."""
         if self.attack_rounds is not None and round_index not in self.attack_rounds:
-            return [state], None
-        outcome, collapsed, _ = state.measure_computational(TRANSIT_WIRE, rng)
-        return [collapsed], outcome
+            return [([state], None, 1)]
+        return [([collapsed], outcome, p) for outcome, collapsed, p in measure(state, TRANSIT_WIRE)]
 
 
 _GAO_PREFIXES = ("Phi", "Psi", "Omega", "Theta", "Upsilon")
@@ -128,7 +128,7 @@ class GaoAttack(AdversaryStrategy):
             return state.tensor(basis_state(state.dim, [(ANCILLA_WIRE, 0)]))
         return state.apply_hadamard(ANCILLA_WIRE)
 
-    def on_transit(self, state, round_index, rng):
+    def on_transit(self, state, round_index, measure):
         """Act on the travelling qudit according to the round schedule.
 
         Round one copies the transit value onto the ancilla.  Even rounds add
@@ -137,16 +137,16 @@ class GaoAttack(AdversaryStrategy):
         read the now-deterministic transit value, and add the ancilla back.
         """
         if round_index == 1:
-            return [state.apply_controlled_shift(TRANSIT_WIRE, ANCILLA_WIRE, "right")], None
+            return [([state.apply_controlled_shift(TRANSIT_WIRE, ANCILLA_WIRE, "right")], None, 1)]
         if round_index % 2 == 0:
-            return [state.apply_controlled_shift(ANCILLA_WIRE, TRANSIT_WIRE, "right")], None
+            return [([state.apply_controlled_shift(ANCILLA_WIRE, TRANSIT_WIRE, "right")], None, 1)]
         read = state.apply_controlled_shift(ANCILLA_WIRE, TRANSIT_WIRE, "left")
         value = read.deterministic_outcome(TRANSIT_WIRE)
         if value is None:
             raise ScheduleViolationError(
                 f"transit qudit not deterministic in extraction round {round_index}"
             )
-        return [read, read.apply_controlled_shift(ANCILLA_WIRE, TRANSIT_WIRE, "right")], value
+        return [([read, read.apply_controlled_shift(ANCILLA_WIRE, TRANSIT_WIRE, "right")], value, 1)]
 
     def stage_prefix(self, round_index: int) -> str:
         """Families repeat with period 4 from round two on."""

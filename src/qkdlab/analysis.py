@@ -1,10 +1,11 @@
-"""Session metrics, exact disturbance enumeration, and Monte-Carlo experiments.
+"""Session metrics, exact outcome enumeration, and Monte-Carlo experiments.
 
-The exact enumerators never sample: they take each round's unlabelled
-states up to Bob's measurement from protocol._transmit, as run_round
-does, read the in-transit and decoded states off its end, and branch on
-every outcome with measurement_distribution and project.  They take any
-dimension and attack round.
+exact_outcomes never samples: it walks protocol._round, the round that
+run_round samples, with the real strategy and a measure function that
+returns every branch (measurement_distribution and project).  Each
+history, one (adversary value, Bob outcome) pair per round, fixes its
+shared state, so no branches are merged.  The disturbance enumerators
+read a walk with InterceptResend at any dimension and attack round.
 """
 
 from __future__ import annotations
@@ -15,17 +16,17 @@ import json
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
-from .adversary import AdversaryStrategy, infer_keys
+from .adversary import AdversaryStrategy, InterceptResend, infer_keys
 from .protocol import (
     ProtocolConfig,
     SessionTranscript,
-    _decode,
-    _transmit,
+    _round,
     announce_subsequence,
+    check_attack_rounds,
     make_rng,
     run_session,
 )
-from .register import TRANSIT_WIRE, PureState, bell_state
+from .register import PureState, bell_state
 
 
 @dataclass(frozen=True)
@@ -77,25 +78,35 @@ def compute_metrics(session: SessionTranscript, true_key) -> SessionMetrics:
 # -- exact enumeration -----------------------------------------------------------
 
 
-_HONEST = AdversaryStrategy()
+def _every_branch(state: PureState, wire: str) -> list:
+    return [(v, state.project(wire, v), p) for v, p in state.measurement_distribution(wire).items()]
 
 
-def _honest_transit(dim: int, attack_round: int, key, rounds: int) -> PureState:
-    """attack_round's in_transit state after honest rounds 1..attack_round-1.
+def exact_outcomes(dim: int, key, strategy: AdversaryStrategy) -> dict[tuple, Fraction]:
+    """Exact probability of every history of a session from a fresh shared pair.
 
-    key must hold at least rounds dits.  An honest round decodes the key
-    dit in every term, so no measurement is needed.
+    A history holds one (adversary value, Bob outcome) pair per round.
+    key and strategy are refused as run_session and ProtocolConfig refuse them.
     """
+    key = ProtocolConfig(dim, len(key), key).key
+    check_attack_rounds(strategy, len(key))
+    walk = {(): (bell_state(dim), Fraction(1))}
+    for index, key_dit in enumerate(key, start=1):
+        walk = {
+            history + ((value, outcome),): (shared, p * q)
+            for history, (state, p) in walk.items()
+            for _, value, outcome, shared, q in _round(state, index, key_dit, strategy, _every_branch)
+        }
+    return {history: p for history, (_, p) in walk.items()}
+
+
+def _intercept_walk(dim: int, attack_round: int, key, rounds: int) -> dict[tuple, Fraction]:
+    """exact_outcomes over key's first rounds dits, intercepting attack_round only."""
     if attack_round < 1:
         raise ValueError(f"attack_round must be positive, got {attack_round}")
     if len(key) < rounds:
         raise ValueError(f"need at least {rounds} key dits, got {len(key)}")
-    st = bell_state(dim)
-    for i in range(1, attack_round):
-        states, _ = _transmit(st, i, key[i - 1], _HONEST, None)
-        st = states[-1].drop_wire(TRANSIT_WIRE)
-    states, _ = _transmit(st, attack_round, key[attack_round - 1], _HONEST, None)
-    return states[-2]
+    return exact_outcomes(dim, key[:rounds], InterceptResend({attack_round}))
 
 
 def exact_next_round_error(dim: int, attack_round: int, key=None) -> Fraction:
@@ -107,25 +118,18 @@ def exact_next_round_error(dim: int, attack_round: int, key=None) -> Fraction:
     """
     rounds = attack_round + 1
     key = tuple(key) if key is not None else (0,) * rounds
-    transit = _honest_transit(dim, attack_round, key, rounds)
-    target = key[attack_round]
-    error = Fraction(0)
-    for eve_outcome, p_eve in transit.measurement_distribution(TRANSIT_WIRE).items():
-        decoded = _decode(transit.project(TRANSIT_WIRE, eve_outcome))
-        for bob_outcome, p_bob in decoded.measurement_distribution(TRANSIT_WIRE).items():
-            shared = decoded.project(TRANSIT_WIRE, bob_outcome).drop_wire(TRANSIT_WIRE)
-            follow, _ = _transmit(shared, rounds, target, _HONEST, None)
-            dist = follow[-1].measurement_distribution(TRANSIT_WIRE)
-            error += p_eve * p_bob * (1 - dist.get(target, Fraction(0)))
-    return error
+    walk = _intercept_walk(dim, attack_round, key, rounds)
+    return sum((p for h, p in walk.items() if h[-1][1] != key[attack_round]), Fraction(0))
 
 
 def exact_intercept_observation_distribution(
     dim: int, attack_round: int, key
 ) -> dict[int, Fraction]:
     """Exact distribution of the value an interceptor reads in transit."""
-    transit = _honest_transit(dim, attack_round, tuple(key), attack_round)
-    return transit.measurement_distribution(TRANSIT_WIRE)
+    dist: dict[int, Fraction] = {}
+    for history, p in _intercept_walk(dim, attack_round, tuple(key), attack_round).items():
+        dist[history[-1][0]] = dist.get(history[-1][0], 0) + p
+    return dict(sorted(dist.items()))
 
 
 # -- Monte-Carlo -----------------------------------------------------------------

@@ -8,9 +8,9 @@ measures it.  An honest channel reproduces the key dit exactly and
 leaves the shared pair in its initial entangled state, which is reused
 by the next round.
 
-_transmit is the one place that knows the steps of a round up to Bob's
-measurement and returns their states unlabelled; run_round adds the
-measurement, and the exact enumerators branch on it instead.
+_round is the one place that knows the steps of a round and yields its
+branches; run_round hands it a one-branch sampler as the measurement,
+and analysis.exact_outcomes one that returns every outcome.
 _label_stages alone names the states that transcripts snapshot.  Rounds
 with no stage prefix (honest and intercepted) record the generic labels
 pre_encode / post_encode / in_transit / post_decode; rounds attacked by
@@ -143,39 +143,33 @@ def _display_order(wires) -> tuple[str, ...]:
     return tuple(known + extra)
 
 
-def _decode(state: PureState) -> PureState:
-    """Bob's left-shift of the transit qudit by his half: the post_decode state."""
-    return state.apply_controlled_shift(BOB_WIRE, TRANSIT_WIRE, "left")
-
-
-def _transmit(
-    state: PureState,
-    round_index: int,
-    key_dit: int,
-    strategy: AdversaryStrategy,
-    rng,
-) -> tuple[list[PureState], int | None]:
-    """A round up to Bob's measurement: its states, in order, and the adversary's value.
+def _round(
+    state: PureState, round_index: int, key_dit: int, strategy: AdversaryStrategy, measure
+):
+    """Every branch of a round: (states, adversary value, Bob's outcome, next shared state, probability).
 
     The states are the shared basis change (with the adversary's basis
     hook), pre_encode, post_encode, every state the transit hook
-    produced, and post_decode, which Bob measures.
+    produced, and post_decode, which Bob measures through measure.
     """
     basis = state.apply_hadamard(ALICE_WIRE).apply_hadamard(BOB_WIRE, conjugate=True)
     basis = strategy.on_basis_change(basis, round_index)
     pre_encode = basis.tensor(basis_state(state.dim, [(TRANSIT_WIRE, key_dit)]))
     pre_encode = pre_encode.reorder_wires(_display_order(pre_encode.wires))
     post_encode = pre_encode.apply_controlled_shift(ALICE_WIRE, TRANSIT_WIRE, "right")
-    transit, observation = strategy.on_transit(post_encode, round_index, rng)
-    if TRANSIT_WIRE not in transit[-1].wires:
-        raise ProtocolViolationError("adversary hook removed the transit wire")
-    return [basis, pre_encode, post_encode, *transit, _decode(transit[-1])], observation
+    for transit, value, p_eve in strategy.on_transit(post_encode, round_index, measure):
+        if TRANSIT_WIRE not in transit[-1].wires:
+            raise ProtocolViolationError("adversary hook removed the transit wire")
+        decoded = transit[-1].apply_controlled_shift(BOB_WIRE, TRANSIT_WIRE, "left")
+        states = [basis, pre_encode, post_encode, *transit, decoded]
+        for outcome, collapsed, p_bob in measure(decoded, TRANSIT_WIRE):
+            yield states, value, outcome, collapsed.drop_wire(TRANSIT_WIRE), p_eve * p_bob
 
 
 def _label_stages(
     states: list[PureState], measured: PureState, round_index: int, prefix: str | None
 ) -> tuple[tuple[str, PureState], ...]:
-    """Label _transmit's states and Bob's measured state in one of the two schemes."""
+    """Label _round's states and Bob's measured state in one of the two schemes."""
     if prefix is None:
         return (
             ("pre_encode", states[1]),
@@ -199,14 +193,20 @@ def run_round(
 ) -> tuple[PureState, RoundTranscript]:
     """Advance the shared state by one protocol round.
 
-    _transmit, then Bob's measurement and removal of the consumed transit wire.
+    Each measurement, the adversary's first, takes one draw from rng.
     """
     strategy = adversary if adversary is not None else AdversaryStrategy()
-    states, observation = _transmit(state, round_index, key_dit, strategy, rng)
-    outcome, st, _ = states[-1].measure_computational(TRANSIT_WIRE, rng)
-    st = st.drop_wire(TRANSIT_WIRE)
+    sample = lambda s, w: [s.measure_computational(w, rng)]
+    ((states, observation, outcome, st, _),) = _round(state, round_index, key_dit, strategy, sample)
     stages = _label_stages(states, st, round_index, strategy.stage_prefix(round_index))
     return st, RoundTranscript(round_index, stages, outcome, observation)
+
+
+def check_attack_rounds(strategy: AdversaryStrategy, num_rounds: int) -> None:
+    """Refuse a strategy that names a round outside 1..num_rounds."""
+    outside = [r for r in strategy.attack_rounds or () if not 1 <= r <= num_rounds]
+    if outside:
+        raise ValueError(f"attack rounds {outside} lie outside the session's rounds 1..{num_rounds}")
 
 
 def run_session(
@@ -214,11 +214,7 @@ def run_session(
 ) -> SessionTranscript:
     """Run all configured rounds from a fresh shared pair."""
     strategy = adversary if adversary is not None else AdversaryStrategy()
-    outside = [r for r in strategy.attack_rounds or () if not 1 <= r <= config.num_rounds]
-    if outside:
-        raise ValueError(
-            f"attack rounds {outside} lie outside the session's rounds 1..{config.num_rounds}"
-        )
+    check_attack_rounds(strategy, config.num_rounds)
     rng = make_rng(config.rng_seed)
     st = bell_state(config.dim)
     rounds = []

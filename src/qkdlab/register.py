@@ -16,7 +16,7 @@ coefficient, all amplitudes are divided by d and scale_exp drops by 2.
 
 Born weights (|amplitude|**2 summed per value of a wire) are computed in
 one place, which norm_squared, measurement_distribution, project and
-measure_computational share.  Like the Hadamard, it works on plain rows:
+the sampling measurement share.  Like the Hadamard, it works on plain rows:
 each term whose amplitude is sum_i c_i zeta**i adds c_i * c_j into
 row[(i - j) % d] of its branch, and each branch's row becomes one
 CycloElem, whose constructor reduces it; a branch whose weight is not

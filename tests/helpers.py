@@ -23,6 +23,11 @@ from qkdlab.ring import CycloElem, cyclotomic_polynomial
 GENERIC_STAGE_LABELS = ("pre_encode", "post_encode", "in_transit", "post_decode")
 
 
+def sampler(rng):
+    """The one-branch measure function run_round hands a strategy."""
+    return lambda state, wire: [state.measure_computational(wire, rng)]
+
+
 @lru_cache(maxsize=None)
 def _unit_roots(dim: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * cmath.pi * t / dim) for t in range(dim))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import sampler
 from qkdlab.adversary import (
     EveKnowledge,
     EveObservation,
@@ -59,19 +60,22 @@ class TestGaoHooks:
         assert state_equals(transcript.stage_state("psi_1_0"), self.STAGES["psi_1_0"])
 
     def test_transit_round_one_entangles_ancilla(self):
-        states, value = GaoAttack().on_transit(self.STAGES["Phi_1"], 1, None)
+        ((states, value, p),) = GaoAttack().on_transit(self.STAGES["Phi_1"], 1, None)
+        assert p == 1
         assert value is None
         assert len(states) == 1
         assert state_equals(states[0], self.STAGES["Phi_2"])
 
     def test_transit_even_round_invisible(self):
-        states, value = GaoAttack().on_transit(self.STAGES["Psi_1"], 2, None)
+        ((states, value, p),) = GaoAttack().on_transit(self.STAGES["Psi_1"], 2, None)
+        assert p == 1
         assert value is None
         assert len(states) == 1
         assert state_equals(states[0], self.STAGES["Psi_2"])
 
     def test_transit_odd_round_reads_key(self):
-        states, value = GaoAttack().on_transit(self.STAGES["Omega_1"], 3, None)
+        ((states, value, p),) = GaoAttack().on_transit(self.STAGES["Omega_1"], 3, None)
+        assert p == 1
         assert value == 0  # (q3 + q1) mod 3 = (2 + 1) mod 3
         assert len(states) == 2
         assert state_equals(states[0], self.STAGES["Omega_2"])
@@ -232,14 +236,28 @@ class TestInterceptResendHook:
         attack = InterceptResend()
         st = bell_state(3).tensor(basis_state(3, [("k", 1)]))
         st = st.apply_controlled_shift("a", "k", "right")
-        states, value = attack.on_transit(st, 1, rng)
+        ((states, value, p),) = attack.on_transit(st, 1, sampler(rng))
+        assert p == Fraction(1, 3)
         assert len(states) == 1
         assert states[0].deterministic_outcome("k") == value
+
+    def test_every_branch_forwarded(self):
+        st = bell_state(3).tensor(basis_state(3, [("k", 1)]))
+        st = st.apply_controlled_shift("a", "k", "right")
+
+        def every(state, wire):
+            dist = state.measurement_distribution(wire)
+            return [(v, state.project(wire, v), p) for v, p in dist.items()]
+
+        branches = InterceptResend().on_transit(st, 1, every)
+        assert [value for _, value, _ in branches] == [0, 1, 2]
+        assert all(states[0].deterministic_outcome("k") == value for states, value, _ in branches)
+        assert sum(p for _, _, p in branches) == 1
 
     def test_skipped_round_passthrough(self):
         rng = make_rng(3)
         attack = InterceptResend({2})
         st = bell_state(3).tensor(basis_state(3, [("k", 1)]))
-        states, value = attack.on_transit(st, 1, rng)
-        assert value is None
+        ((states, value, p),) = attack.on_transit(st, 1, sampler(rng))
+        assert value is None and p == 1
         assert len(states) == 1 and states[0] is st

@@ -1,16 +1,19 @@
 import csv
 import io
 import json
+import math
+import re
 from fractions import Fraction
 
 import pytest
 
-from qkdlab.adversary import GaoAttack, InterceptResend
+from qkdlab.adversary import AdversaryStrategy, GaoAttack, InterceptResend
 from qkdlab.analysis import (
     CSV_COLUMNS,
     compute_metrics,
     exact_intercept_observation_distribution,
     exact_next_round_error,
+    exact_outcomes,
     monte_carlo,
     report_to_csv,
     report_to_json,
@@ -160,6 +163,71 @@ class TestObservationDistribution:
             other = exact_intercept_observation_distribution(5, 1, (q,))
             tv = sum(abs(base[v] - other[v]) for v in range(5)) / 2
             assert tv == 0
+
+
+def _key(dim, length):
+    return tuple((3 * i + 1) % dim for i in range(length))
+
+
+def _round_error(walk, key, index):
+    """Exact probability that Bob's outcome in round index + 1 differs from its key dit."""
+    return sum((p for history, p in walk.items() if history[index][1] != key[index]), Fraction(0))
+
+
+class TestExactOutcomes:
+    def test_refuses_attack_rounds_outside_the_session(self):
+        with pytest.raises(ValueError) as refused:
+            run_session(ProtocolConfig(3, 3, (0, 1, 2)), InterceptResend({9}))
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            exact_outcomes(3, (0, 1, 2), InterceptResend({9}))
+
+    @pytest.mark.parametrize("dim, key", [(3, ()), (3, (0, 3)), (3, (-1,)), (1, (0,))])
+    def test_refuses_the_keys_a_session_refuses(self, dim, key):
+        with pytest.raises(ValueError) as refused:
+            run_session(ProtocolConfig(dim, len(key), key))
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            exact_outcomes(dim, key, AdversaryStrategy())
+
+    @pytest.mark.parametrize(
+        "dim, rounds",
+        [(2, r) for r in range(2, 7)]
+        + [(3, r) for r in range(2, 5)]
+        + [(4, 2), (4, 3), (5, 2), (5, 3), (6, 2), (7, 2)],
+    )
+    def test_intercept_every_round_error_law(self, dim, rounds):
+        # Bob's errors in r intercepted rounds are Binomial(r - 1, (d - 1)/d)
+        key = _key(dim, rounds)
+        law = {}
+        for history, p in exact_outcomes(dim, key, InterceptResend()).items():
+            errors = sum(outcome != q for (_, outcome), q in zip(history, key))
+            law[errors] = law.get(errors, 0) + p
+        e, n = Fraction(dim - 1, dim), rounds - 1
+        assert law == {k: math.comb(n, k) * e**k * (1 - e) ** (n - k) for k in range(n + 1)}
+
+    def test_monte_carlo_within_3_sigma_of_the_walk(self):
+        # monte_carlo draws a key per trial; the exact marginals do not depend on it
+        marginals = []
+        for key in ((0, 1, 2, 0), (2, 2, 1, 0)):
+            walk = exact_outcomes(3, key, InterceptResend())
+            marginals.append([_round_error(walk, key, i) for i in range(4)])
+        assert marginals[0] == marginals[1]
+        trials = 300
+        config = ProtocolConfig(3, 4, (0, 1, 2, 0))
+        report = monte_carlo(config, InterceptResend(), trials, seed=1)
+        for rate, p in zip(report.round_error_rates, marginals[0]):
+            assert abs(rate - p) <= 3 * math.sqrt(p * (1 - p) / trials)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    @pytest.mark.parametrize("strategy", [AdversaryStrategy(), GaoAttack()], ids=["honest", "gao"])
+    def test_deterministic_strategy_walks_one_branch(self, dim, strategy):
+        key = _key(dim, 5)
+        ((history, p),) = exact_outcomes(dim, key, strategy).items()
+        assert p == 1
+        assert tuple(outcome for _, outcome in history) == key
+        session = run_session(ProtocolConfig(dim, 5, key), strategy)
+        assert tuple(value for value, _ in history) == tuple(
+            r.eve_observation for r in session.rounds
+        )
 
 
 class TestMonteCarlo:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import GENERIC_STAGE_LABELS
+from qkdlab import protocol
 from qkdlab.adversary import AdversaryStrategy, GaoAttack, InterceptResend
 from qkdlab.protocol import (
     ProtocolConfig,
@@ -250,15 +251,48 @@ class TestInterceptSession:
 class TestAdversaryContract:
     def test_transit_wire_must_survive(self):
         class WireEater(AdversaryStrategy):
-            def on_transit(self, state, round_index, rng):
+            def on_transit(self, state, round_index, measure):
                 stripped = basis_state(
                     state.dim, [(w, 0) for w in state.wires if w != "k"]
                 )
-                return [stripped], None
+                return [([stripped], None, 1)]
 
         config = ProtocolConfig(dim=3, num_rounds=1, key=(1,), rng_seed=0)
         with pytest.raises(ProtocolViolationError):
             run_session(config, WireEater())
+
+
+class TestRngDraws:
+    def test_one_draw_per_measurement_eve_first(self, monkeypatch):
+        events = []
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self):
+                events.append("draw")
+                return self.rng.random()
+
+        class LoggedIntercept(InterceptResend):
+            def on_transit(self, state, round_index, measure):
+                events.append(f"eve-{round_index}")
+                branches = super().on_transit(state, round_index, measure)
+                events.append(f"sent-{round_index}")
+                return branches
+
+        config = ProtocolConfig(dim=3, num_rounds=4, key=(2, 0, 1, 1), rng_seed=9)
+        expected = transcript_to_json_dict(run_session(config, InterceptResend({1, 3})))
+        make_rng = protocol.make_rng
+        monkeypatch.setattr(protocol, "make_rng", lambda seed: CountingRng(make_rng(seed)))
+        session = run_session(config, LoggedIntercept({1, 3}))
+        assert events == [
+            "eve-1", "draw", "sent-1", "draw",
+            "eve-2", "sent-2", "draw",
+            "eve-3", "draw", "sent-3", "draw",
+            "eve-4", "sent-4", "draw",
+        ]
+        assert transcript_to_json_dict(session) == expected
 
 
 class TestAnnounce:
