@@ -15,20 +15,17 @@ points of every round: after the shared basis change and while the key
 qudit is in transit.  The transit hook measures only through the
 measure function it is handed, never an rng, and returns its branches;
 the value each branch read is the only record of what the attacker
-saw.  A strategy brings its own wires: the session starts from the
-bare shared pair.
+saw.  A strategy brings its own wires, adjoined with insert_wire: the
+session starts from the bare shared pair, and the round places the
+transit qudit right after Bob's half, so the wires a strategy adds keep
+their order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .register import (
-    ANCILLA_WIRE,
-    TRANSIT_WIRE,
-    PureState,
-    basis_state,
-)
+from .register import ANCILLA_WIRE, TRANSIT_WIRE, PureState
 
 
 class ScheduleViolationError(RuntimeError):
@@ -78,9 +75,11 @@ class AdversaryStrategy:
 
     Strategies keep no per-session state, so one instance can serve any
     number of sessions.  on_transit returns (states, value, probability)
-    branches, told apart by the value read (None if none): the states it
-    produced, in order, the last travelling on to Bob.  measure(state,
-    wire) gives the (outcome, collapsed, probability) measurement branches.
+    branches: the states it produced, in order, the last travelling on to
+    Bob, and the value read (None if none).  Branches may share a value;
+    the exact walker adds up the probabilities of branches that end in
+    the same history.  measure(state, wire) gives the (outcome, collapsed,
+    probability) measurement branches.
     """
 
     kind = "none"
@@ -125,7 +124,7 @@ class GaoAttack(AdversaryStrategy):
     def on_basis_change(self, state, round_index):
         """Adjoin the ancilla in |0> in round one; mirror the basis change on it after."""
         if round_index == 1:
-            return state.tensor(basis_state(state.dim, [(ANCILLA_WIRE, 0)]))
+            return state.insert_wire(ANCILLA_WIRE, 0, len(state.wires))
         return state.apply_hadamard(ANCILLA_WIRE)
 
     def on_transit(self, state, round_index, measure):

@@ -1,11 +1,12 @@
 """Session metrics, exact outcome enumeration, and Monte-Carlo experiments.
 
 exact_outcomes never samples: it walks protocol._round, the round that
-run_round samples, with the real strategy and a measure function that
-returns every branch (measurement_distribution and project).  Each
-history, one (adversary value, Bob outcome) pair per round, fixes its
-shared state, so no branches are merged.  The disturbance enumerators
-read a walk with InterceptResend at any dimension and attack round.
+run_round samples, with the real strategy and PureState.branches as the
+measure function, which returns every branch.  The walk keeps one entry
+per branch; branches that end in the same history, one (adversary value,
+Bob outcome) pair per round, have their probabilities added at the end,
+and no branches are merged by state.  The disturbance enumerators read
+a walk with InterceptResend at any dimension and attack round.
 """
 
 from __future__ import annotations
@@ -78,10 +79,6 @@ def compute_metrics(session: SessionTranscript, true_key) -> SessionMetrics:
 # -- exact enumeration -----------------------------------------------------------
 
 
-def _every_branch(state: PureState, wire: str) -> list:
-    return [(v, state.project(wire, v), p) for v, p in state.measurement_distribution(wire).items()]
-
-
 def exact_outcomes(dim: int, key, strategy: AdversaryStrategy) -> dict[tuple, Fraction]:
     """Exact probability of every history of a session from a fresh shared pair.
 
@@ -90,14 +87,17 @@ def exact_outcomes(dim: int, key, strategy: AdversaryStrategy) -> dict[tuple, Fr
     """
     key = ProtocolConfig(dim, len(key), key).key
     check_attack_rounds(strategy, len(key))
-    walk = {(): (bell_state(dim), Fraction(1))}
+    walk = [((), bell_state(dim), Fraction(1))]
     for index, key_dit in enumerate(key, start=1):
-        walk = {
-            history + ((value, outcome),): (shared, p * q)
-            for history, (state, p) in walk.items()
-            for _, value, outcome, shared, q in _round(state, index, key_dit, strategy, _every_branch)
-        }
-    return {history: p for history, (_, p) in walk.items()}
+        walk = [
+            (history + ((value, outcome),), shared, p * q)
+            for history, state, p in walk
+            for _, value, outcome, shared, q in _round(state, index, key_dit, strategy, PureState.branches)
+        ]
+    outcomes: dict[tuple, Fraction] = {}
+    for history, _, p in walk:
+        outcomes[history] = outcomes.get(history, 0) + p
+    return outcomes
 
 
 def _intercept_walk(dim: int, attack_round: int, key, rounds: int) -> dict[tuple, Fraction]:

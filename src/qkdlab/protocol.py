@@ -2,15 +2,17 @@
 
 Each round applies the shared basis change (a Hadamard on Alice's half,
 its conjugate on Bob's), adjoins a fresh transit qudit carrying the
-round's key dit, right-shifts it by Alice's half, hands it to the
-channel (where an adversary may act), left-shifts it by Bob's half and
-measures it.  An honest channel reproduces the key dit exactly and
-leaves the shared pair in its initial entangled state, which is reused
-by the next round.
+round's key dit right after Bob's half (insert_wire; the adversary's
+wires keep their own order), right-shifts it by Alice's half, hands it
+to the channel (where an adversary may act), left-shifts it by Bob's
+half and measures it.  An honest channel reproduces the key dit exactly
+and leaves the shared pair in its initial entangled state, which is
+reused by the next round.
 
 _round is the one place that knows the steps of a round and yields its
 branches; run_round hands it a one-branch sampler as the measurement,
-and analysis.exact_outcomes one that returns every outcome.
+and analysis.exact_outcomes hands it PureState.branches, which returns
+every outcome.
 _label_stages alone names the states that transcripts snapshot.  Rounds
 with no stage prefix (honest and intercepted) record the generic labels
 pre_encode / post_encode / in_transit / post_decode; rounds attacked by
@@ -38,9 +40,7 @@ from .register import (
     ALICE_WIRE,
     BOB_WIRE,
     TRANSIT_WIRE,
-    WIRE_DISPLAY_ORDER,
     PureState,
-    basis_state,
     bell_state,
 )
 
@@ -137,12 +137,6 @@ class SessionTranscript:
         return EveKnowledge(self.config.dim, self.eve_observations)
 
 
-def _display_order(wires) -> tuple[str, ...]:
-    known = [w for w in WIRE_DISPLAY_ORDER if w in wires]
-    extra = [w for w in wires if w not in WIRE_DISPLAY_ORDER]
-    return tuple(known + extra)
-
-
 def _round(
     state: PureState, round_index: int, key_dit: int, strategy: AdversaryStrategy, measure
 ):
@@ -154,8 +148,7 @@ def _round(
     """
     basis = state.apply_hadamard(ALICE_WIRE).apply_hadamard(BOB_WIRE, conjugate=True)
     basis = strategy.on_basis_change(basis, round_index)
-    pre_encode = basis.tensor(basis_state(state.dim, [(TRANSIT_WIRE, key_dit)]))
-    pre_encode = pre_encode.reorder_wires(_display_order(pre_encode.wires))
+    pre_encode = basis.insert_wire(TRANSIT_WIRE, key_dit, basis.wires.index(BOB_WIRE) + 1)
     post_encode = pre_encode.apply_controlled_shift(ALICE_WIRE, TRANSIT_WIRE, "right")
     for transit, value, p_eve in strategy.on_transit(post_encode, round_index, measure):
         if TRANSIT_WIRE not in transit[-1].wires:

@@ -15,19 +15,24 @@ exactly: while scale_exp is at least 2 and d divides every reduced
 coefficient, all amplitudes are divided by d and scale_exp drops by 2.
 
 Born weights (|amplitude|**2 summed per value of a wire) are computed in
-one place, which norm_squared, measurement_distribution, project and
-the sampling measurement share.  Like the Hadamard, it works on plain rows:
-each term whose amplitude is sum_i c_i zeta**i adds c_i * c_j into
-row[(i - j) % d] of its branch, and each branch's row becomes one
-CycloElem, whose constructor reduces it; a branch whose weight is not
-rational raises ValueError.  A collapse moves the branch weight's powers
-of d into scale_exp and builds one state; it raises ValueError when the
-weight is no power of d.  Every Born weight on the protocol's stabilizer
-states is such a power, so no protocol path reaches that error.
+one place, which norm_squared, measurement_distribution, project,
+branches and the sampling measurement share.  Like the Hadamard, it
+works on plain rows: each term whose amplitude is sum_i c_i zeta**i
+adds c_i * c_j into row[(i - j) % d] of its branch, and each branch's
+row becomes one CycloElem, whose constructor reduces it; a branch whose
+weight is not rational raises ValueError.  A collapse moves the branch
+weight's powers of d into scale_exp and builds one state; it raises
+ValueError when the weight is no power of d.  Every Born weight on the
+protocol's stabilizer states is such a power, so no protocol path
+reaches that error.  branches collapses every outcome from one weights
+pass; the sampling measurement draws one outcome from the same weights
+and collapses only that branch.
 
-The public constructor checks every term.  Gates, collapses and
-drop_wire build their terms from a state that is already valid, so they
-go through the unchecked PureState._derived instead.
+insert_wire adjoins a wire in a basis state by rebuilding the basis
+tuples, with no ring arithmetic.  The public constructor checks every
+term.  Gates, collapses, insert_wire and drop_wire build their terms
+from a state that is already valid, so they go through the unchecked
+PureState._derived instead.
 
 Wires are plain string labels.  The four canonical protocol wires are
 Alice's and Bob's halves of the shared pair, the travelling key qudit,
@@ -48,8 +53,6 @@ BOB_WIRE: Wire = "b"
 TRANSIT_WIRE: Wire = "k"
 ANCILLA_WIRE: Wire = "e"
 
-#: preferred display order for the canonical wires in snapshots and JSON
-WIRE_DISPLAY_ORDER: tuple[Wire, ...] = (ALICE_WIRE, BOB_WIRE, TRANSIT_WIRE, ANCILLA_WIRE)
 
 class PureState:
     """Sparse superposition over labelled d-level wires.
@@ -135,6 +138,21 @@ class PureState:
         terms = {tuple(b[i] for i in perm): amp for b, amp in self.terms.items()}
         return PureState._derived(self.dim, order, self.scale_exp, terms)
 
+    def insert_wire(self, wire: Wire, value: int, position: int) -> PureState:
+        """Adjoin wire in basis state |value> at index position of the wires.
+
+        Only the basis tuples change; no amplitude is touched.
+        """
+        if wire in self.wires:
+            raise ValueError(f"wire {wire!r} already present in state wires {self.wires}")
+        if not 0 <= value < self.dim:
+            raise ValueError(f"value {value} out of range for dimension {self.dim}")
+        if not 0 <= position <= len(self.wires):
+            raise ValueError(f"position {position} outside 0..{len(self.wires)}")
+        wires = self.wires[:position] + (wire,) + self.wires[position:]
+        terms = {b[:position] + (value,) + b[position:]: a for b, a in self.terms.items()}
+        return PureState._derived(self.dim, wires, self.scale_exp, terms)
+
     # -- gates ---------------------------------------------------------------
 
     def apply_controlled_shift(self, control: Wire, target: Wire, direction: str = "right") -> PureState:
@@ -219,13 +237,30 @@ class PureState:
         weight = Fraction(1, dim**self.scale_exp)
         return {v: weight * rational_value(CycloElem(dim, row)) for v, row in rows.items()}
 
-    def measurement_distribution(self, wire: Wire) -> dict[int, Fraction]:
-        """Exact Born probabilities for a computational measurement of wire."""
-        weights = self._branch_weights(self.wire_index(wire))
+    def _outcome_weights(self, idx: int) -> tuple[list, Fraction]:
+        """(outcome, Born weight) pairs of wire idx in outcome order, and their total."""
+        weights = self._branch_weights(idx)
         if not weights:
             raise ValueError("cannot measure a zero state")
-        total = sum(weights.values())
-        return {v: w / total for v, w in sorted(weights.items())}
+        return sorted(weights.items()), sum(weights.values())
+
+    def measurement_distribution(self, wire: Wire) -> dict[int, Fraction]:
+        """Exact Born probabilities for a computational measurement of wire."""
+        weights, total = self._outcome_weights(self.wire_index(wire))
+        return {v: w / total for v, w in weights}
+
+    def branches(self, wire: Wire) -> list[tuple[int, PureState, Fraction]]:
+        """Every (outcome, collapsed renormalized state, exact probability), in outcome order.
+
+        One Born-weight pass serves every branch; each collapse reuses its
+        branch's weight.
+        """
+        idx = self.wire_index(wire)
+        weights, total = self._outcome_weights(idx)
+        split: dict[int, dict] = {}
+        for basis, amp in self.terms.items():
+            split.setdefault(basis[idx], {})[basis] = amp
+        return [(v, self._collapse(split[v], w), w / total) for v, w in weights]
 
     def project(self, wire: Wire, outcome: int) -> PureState:
         """Collapse onto one outcome and renormalize."""
@@ -258,15 +293,13 @@ class PureState:
     def measure_computational(self, wire: Wire, rng) -> tuple[int, PureState, Fraction]:
         """Sample an outcome with exact Born weights; rng supplies one uniform draw.
 
-        Returns (outcome, collapsed renormalized state, exact probability).
+        Returns the branch of branches(wire) that the draw picks, and
+        collapses only that branch.
         """
         idx = self.wire_index(wire)
-        weights = self._branch_weights(idx)
-        if not weights:
-            raise ValueError("cannot measure a zero state")
-        total = sum(weights.values())
+        weights, total = self._outcome_weights(idx)
         u = Fraction(rng.random()) * total  # u < total: the loop always breaks
-        for outcome, w in sorted(weights.items()):
+        for outcome, w in weights:
             if u < w:
                 break
             u -= w

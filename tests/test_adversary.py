@@ -23,7 +23,7 @@ from qkdlab.protocol import (
     run_session,
     transcript_to_json_dict,
 )
-from qkdlab.register import basis_state, bell_state, state_equals
+from qkdlab.register import PureState, basis_state, bell_state, state_equals
 
 
 class TestObservationSign:
@@ -244,12 +244,7 @@ class TestInterceptResendHook:
     def test_every_branch_forwarded(self):
         st = bell_state(3).tensor(basis_state(3, [("k", 1)]))
         st = st.apply_controlled_shift("a", "k", "right")
-
-        def every(state, wire):
-            dist = state.measurement_distribution(wire)
-            return [(v, state.project(wire, v), p) for v, p in dist.items()]
-
-        branches = InterceptResend().on_transit(st, 1, every)
+        branches = InterceptResend().on_transit(st, 1, PureState.branches)
         assert [value for _, value, _ in branches] == [0, 1, 2]
         assert all(states[0].deterministic_outcome("k") == value for states, value, _ in branches)
         assert sum(p for _, _, p in branches) == 1

@@ -217,6 +217,16 @@ class TestExactOutcomes:
         for rate, p in zip(report.round_error_rates, marginals[0]):
             assert abs(rate - p) <= 3 * math.sqrt(p * (1 - p) / trials)
 
+    def test_branches_sharing_a_history_add_up(self):
+        # two transit branches that read the same value (None) and lead to the
+        # same Bob outcome make one history; neither probability may be lost
+        class SplitChannel(AdversaryStrategy):
+            def on_transit(self, state, round_index, measure):
+                return [([state], None, Fraction(1, 2)), ([state], None, Fraction(1, 2))]
+
+        walk = exact_outcomes(3, (0, 1), SplitChannel())
+        assert walk == {((None, 0), (None, 1)): 1}
+
     @pytest.mark.parametrize("dim", range(2, 9))
     @pytest.mark.parametrize("strategy", [AdversaryStrategy(), GaoAttack()], ids=["honest", "gao"])
     def test_deterministic_strategy_walks_one_branch(self, dim, strategy):

@@ -25,6 +25,7 @@ from qkdlab.register import (
     bell_state,
     state_equals,
 )
+from qkdlab.ring import CycloElem
 
 
 class TestConfig:
@@ -249,6 +250,23 @@ class TestInterceptSession:
 
 
 class TestAdversaryContract:
+    def test_strategy_wires_keep_their_order(self):
+        # the transit qudit goes right after Bob's half; wires a hook adjoins
+        # after it stay in the order the hook gave them
+        class TwoAncillas(AdversaryStrategy):
+            def on_basis_change(self, state, round_index):
+                if round_index == 1:
+                    state = state.tensor(basis_state(state.dim, [("x", 0)]))
+                    state = state.tensor(basis_state(state.dim, [("e", 0)]))
+                return state
+
+        config = ProtocolConfig(dim=3, num_rounds=2, key=(1, 2), rng_seed=0)
+        session = run_session(config, TwoAncillas())
+        for r in session.rounds:
+            assert r.stage_state("pre_encode").wires == ("a", "b", "k", "x", "e")
+        assert session.final_shared_state.wires == ("a", "b", "x", "e")
+        assert session.bob_outcomes == (1, 2)
+
     def test_transit_wire_must_survive(self):
         class WireEater(AdversaryStrategy):
             def on_transit(self, state, round_index, measure):
@@ -293,6 +311,29 @@ class TestRngDraws:
             "eve-4", "sent-4", "draw",
         ]
         assert transcript_to_json_dict(session) == expected
+
+
+class TestRingArithmetic:
+    @pytest.mark.parametrize("dim", [3, 5])
+    @pytest.mark.parametrize(
+        "num_rounds, adversary",
+        [(4, InterceptResend({1, 3})), (5, GaoAttack())],
+        ids=["intercept", "gao"],
+    )
+    def test_a_round_multiplies_no_ring_elements(self, monkeypatch, dim, num_rounds, adversary):
+        # adjoining the transit qudit and the ancilla rebuilds basis tuples only
+        calls = []
+        original = CycloElem.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(CycloElem, "__mul__", counted)
+        monkeypatch.setattr(CycloElem, "__rmul__", counted)
+        key = tuple(q % dim for q in range(num_rounds))
+        run_session(ProtocolConfig(dim, num_rounds, key, rng_seed=dim), adversary)
+        assert calls == []
 
 
 class TestAnnounce:

@@ -132,6 +132,31 @@ class TestTensor:
             bell_state(3).tensor(bell_state(3))
 
 
+class TestInsertWire:
+    def test_adjoin_key_qudit_after_bob(self):
+        bell = bell_state(3)
+        st = bell.insert_wire("k", 1, 2)
+        assert st.wires == ("a", "b", "k")
+        assert set(st.terms) == {(0, 0, 1), (1, 1, 1), (2, 2, 1)}
+        assert st.scale_exp == 1
+        # only the basis tuples are rebuilt: the amplitudes are the same objects
+        assert all(st.terms[(j, j, 1)] is bell.terms[(j, j)] for j in range(3))
+
+    def test_matches_tensor_then_reorder(self):
+        rng = make_rng(40)
+        for _ in range(20):
+            dim = int(rng.integers(2, 7))
+            st = random_pure_state(rng, dim, ("x", "y"))
+            value = int(rng.integers(0, dim))
+            for position in range(3):
+                inserted = st.insert_wire("z", value, position)
+                order = ("x", "y")[:position] + ("z",) + ("x", "y")[position:]
+                expected = st.tensor(basis_state(dim, [("z", value)])).reorder_wires(order)
+                assert inserted.wires == order
+                assert inserted.scale_exp == expected.scale_exp
+                assert inserted.terms == expected.terms
+
+
 class TestControlledShift:
     def test_encode_key_onto_transit(self):
         st = PureState(
@@ -453,6 +478,41 @@ def ring_states(draw):
     return PureState(dim, ("x", "y")[:n_wires], scale_exp, terms)
 
 
+class TestBranches:
+    @pytest.mark.parametrize("dim", range(2, 9))
+    @pytest.mark.parametrize(
+        "make_adversary", [lambda: None, InterceptResend, GaoAttack],
+        ids=["honest", "intercept", "gao"],
+    )
+    def test_agrees_with_distribution_and_project(self, dim, make_adversary):
+        key = tuple(int(x) for x in make_rng(dim, stream=2).integers(0, dim, 4))
+        session = run_session(ProtocolConfig(dim, 4, key, rng_seed=dim), make_adversary())
+        states = [s for r in session.rounds for _, s in r.stages] + [session.final_shared_state]
+        for state in states:
+            for wire in state.wires:
+                dist = state.measurement_distribution(wire)
+                expected = [(v, state.project(wire, v), p) for v, p in dist.items()]
+                got = state.branches(wire)
+                assert [v for v, _, _ in got] == [v for v, _, _ in expected]
+                for (_, collapsed, p), (_, projected, q) in zip(got, expected):
+                    assert first_difference(collapsed, projected) is None
+                    assert type(p) is Fraction and p == q
+
+    def test_one_born_weight_pass(self, monkeypatch):
+        calls = []
+        original = PureState._branch_weights
+
+        def counted(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(PureState, "_branch_weights", counted)
+        branches = bell_state(5).branches("a")
+        assert len(calls) == 1
+        assert [(v, p) for v, _, p in branches] == [(v, Fraction(1, 5)) for v in range(5)]
+        assert all(collapsed.terms.keys() == {(v, v)} for v, collapsed, _ in branches)
+
+
 class TestBornWeightRows:
     @settings(max_examples=300, deadline=None)
     @given(strategies.data())
@@ -507,6 +567,12 @@ ZERO_STATE = PureState(3, ("x",), 0, {(0,): CycloElem.zero(3)})  # its one term 
          "cannot measure a zero state"),
         (lambda: ZERO_STATE.measure_computational("x", FirstOutcomeRng()), ValueError,
          "cannot measure a zero state"),
+        (lambda: ZERO_STATE.branches("x"), ValueError, "cannot measure a zero state"),
+        (lambda: bell_state(3).insert_wire("b", 0, 2), ValueError,
+         "wire 'b' already present in state wires ('a', 'b')"),
+        (lambda: bell_state(3).insert_wire("k", 3, 2), ValueError,
+         "value 3 out of range for dimension 3"),
+        (lambda: bell_state(3).insert_wire("k", 0, 3), ValueError, "position 3 outside 0..2"),
         (lambda: bell_state(3).project("a", 3), ValueError,
          "outcome 3 out of range for dimension 3"),
         (lambda: basis_state(3, [("k", 1)]).drop_wire("k"), ValueError,
@@ -517,7 +583,9 @@ ZERO_STATE = PureState(3, ("x",), 0, {(0,): CycloElem.zero(3)})  # its one term 
          "element is not rational: CycloElem(5, (1, 0, -1, -1, 0))"),
     ],
     ids=["dim-1", "no-wires", "int-amplitude", "tensor-dims", "reorder-not-permutation",
-         "distribution-zero-state", "measure-zero-state", "project-outcome-d", "drop-only-wire",
+         "distribution-zero-state", "measure-zero-state", "branches-zero-state",
+         "insert-duplicate-wire", "insert-value-d", "insert-position-past-end",
+         "project-outcome-d", "drop-only-wire",
          "distribution-irrational-weight"],
 )
 def test_refusals(call, error, message):
