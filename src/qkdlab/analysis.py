@@ -1,5 +1,9 @@
 """Session metrics, exact outcome enumeration, and Monte-Carlo experiments.
 
+compute_metrics takes the attacker's knowledge from
+SessionTranscript.eve_inference, the same result the transcript JSON
+reports, so the two cannot disagree.
+
 exact_outcomes never samples: it walks protocol._round, the round that
 run_round samples, with the real strategy and PureState.branches as the
 measure function, which returns every branch.  The walk keeps one entry
@@ -17,7 +21,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
-from .adversary import AdversaryStrategy, InterceptResend, infer_keys
+from .adversary import AdversaryStrategy, InterceptResend
 from .protocol import (
     ProtocolConfig,
     SessionTranscript,
@@ -60,19 +64,13 @@ def compute_metrics(session: SessionTranscript, true_key) -> SessionMetrics:
     else:
         qber = Fraction(0)
     detection = any(value != bob[index - 1] for index, value in session.announced)
-    if session.adversary_kind == "gao":
-        resolved, known = infer_keys(session.eve_knowledge(), session.announced)
-        known_fraction = Fraction(len(known), cfg.num_rounds)
-        candidates = 1 if resolved is not None else cfg.dim
-    else:
-        known_fraction = Fraction(0)
-        candidates = cfg.dim
+    resolved, known = session.eve_inference()
     return SessionMetrics(
         qber_overall=qber,
         qber_by_round=by_round,
         detection_triggered=detection,
-        eve_known_fraction=known_fraction,
-        eve_candidate_count=candidates,
+        eve_known_fraction=Fraction(len(known), cfg.num_rounds),
+        eve_candidate_count=cfg.dim if resolved is None else 1,
     )
 
 
@@ -85,10 +83,10 @@ def exact_outcomes(dim: int, key, strategy: AdversaryStrategy) -> dict[tuple, Fr
     A history holds one (adversary value, Bob outcome) pair per round.
     key and strategy are refused as run_session and ProtocolConfig refuse them.
     """
-    key = ProtocolConfig(dim, len(key), key).key
-    check_attack_rounds(strategy, len(key))
-    walk = [((), bell_state(dim), Fraction(1))]
-    for index, key_dit in enumerate(key, start=1):
+    config = ProtocolConfig(dim, len(key), key)
+    check_attack_rounds(strategy, config.num_rounds)
+    walk = [((), bell_state(config.dim), Fraction(1))]
+    for index, key_dit in enumerate(config.key, start=1):
         walk = [
             (history + ((value, outcome),), shared, p * q)
             for history, state, p in walk

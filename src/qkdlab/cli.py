@@ -37,6 +37,7 @@ from .protocol import (
     dump_transcript,
     make_rng,
     parse_announce,
+    parse_int_list,
     run_session,
 )
 from .register import first_difference
@@ -56,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _dit_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(parse_int_list(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
@@ -198,7 +199,7 @@ def cmd_run(args, parser) -> int:
     if session.adversary_kind != "none":
         values = [r.eve_observation for r in session.rounds if r.eve_observation is not None]
         print(f"eve observations = {values}")
-    if session.adversary_kind == "gao":
+    if session.eve_knowledge() is not None:
         print(
             f"eve known fraction = {metrics.eve_known_fraction} "
             f"candidates={metrics.eve_candidate_count}"

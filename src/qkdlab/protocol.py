@@ -19,23 +19,23 @@ pre_encode / post_encode / in_transit / post_decode; rounds attacked by
 the ancilla strategy record psi_<i>_0, then the per-round family Phi_0..3
 / Psi_0..3 / Omega_0..4 / Theta_0..3 / Upsilon_0..4 from pre_encode to
 post_decode, then psi_<i>_1 after Bob's measurement.
+
+SessionTranscript.eve_knowledge is the one place that decides whether
+a session's adversary reads say anything about the key; eve_inference
+runs adversary.infer_keys on it, and the transcript JSON, the metrics
+and the CLI all read that one result.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversary import (
-    AdversaryStrategy,
-    EveKnowledge,
-    EveObservation,
-    infer_keys,
-    observation_sign,
-)
+from .adversary import AdversaryStrategy, EveKnowledge, EveObservation, infer_keys
 from .register import (
     ALICE_WIRE,
     BOB_WIRE,
@@ -69,6 +69,16 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; a bool, a float or any other non-integer raises ValueError naming name."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)  # numpy integers become int
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     dim: int
@@ -77,11 +87,13 @@ class ProtocolConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _integer(self.dim, "dim"))
+        object.__setattr__(self, "num_rounds", _integer(self.num_rounds, "num_rounds"))
+        object.__setattr__(self, "key", tuple(_integer(q, "key") for q in self.key))
         if self.dim < 2:
             raise ValueError(f"dimension must be at least 2, got {self.dim}")
         if self.num_rounds < 1:
             raise ValueError(f"num_rounds must be positive, got {self.num_rounds}")
-        object.__setattr__(self, "key", tuple(self.key))
         if len(self.key) != self.num_rounds:
             raise ValueError(
                 f"key length {len(self.key)} does not match num_rounds {self.num_rounds}"
@@ -122,19 +134,29 @@ class SessionTranscript:
     def bob_outcomes(self) -> tuple[int, ...]:
         return tuple(r.bob_outcome for r in self.rounds)
 
-    @property
-    def eve_observations(self) -> tuple[EveObservation, ...]:
-        """The ancilla attacker's readouts with their signs; () for other kinds."""
+    def eve_knowledge(self) -> EveKnowledge | None:
+        """The attacker's reads as EveKnowledge; None for kinds whose reads tell nothing of the key.
+
+        Only the ancilla attacker's reads follow the sign law; an
+        interceptor reads a value that is uniform whatever the key.
+        """
         if self.adversary_kind != "gao":
-            return ()
-        return tuple(
-            EveObservation(r.round_index, r.eve_observation)
-            for r in self.rounds
-            if r.eve_observation is not None
+            return None
+        reads = [r for r in self.rounds if r.eve_observation is not None]
+        return EveKnowledge(
+            self.config.dim, tuple(EveObservation(r.round_index, r.eve_observation) for r in reads)
         )
 
-    def eve_knowledge(self) -> EveKnowledge:
-        return EveKnowledge(self.config.dim, self.eve_observations)
+    @property
+    def eve_observations(self) -> tuple[EveObservation, ...]:
+        """The observations of eve_knowledge(), with their signs; () when it is None."""
+        knowledge = self.eve_knowledge()
+        return () if knowledge is None else knowledge.observations
+
+    def eve_inference(self) -> tuple[int | None, dict[int, int]]:
+        """infer_keys on eve_knowledge() and the announced dits; (None, {}) when it is None."""
+        knowledge = self.eve_knowledge()
+        return (None, {}) if knowledge is None else infer_keys(knowledge, self.announced)
 
 
 def _round(
@@ -223,6 +245,19 @@ def run_session(
     )
 
 
+def parse_int_list(text: str) -> list[int]:
+    """The integers of a comma list of ASCII digits, each with an optional sign and blanks around.
+
+    Raises ValueError for any other part; int() alone would also read
+    digit separators ("1_3" as 13) and non-ASCII digits.
+    """
+    parts = [part.strip() for part in text.split(",")]
+    for part in parts:
+        if not re.fullmatch(r"[+-]?[0-9]+", part):
+            raise ValueError(f"not an integer: {part!r}")
+    return [int(part) for part in parts]
+
+
 def parse_announce(spec: str, num_rounds: int) -> list[int]:
     """The 1-based round indices an announcement policy names.
 
@@ -237,7 +272,7 @@ def parse_announce(spec: str, num_rounds: int) -> list[int]:
     if spec == "even":
         return list(range(2, num_rounds + 1, 2))
     try:
-        indices = [int(part) for part in spec.split(",")]
+        indices = parse_int_list(spec)
     except ValueError:
         raise ValueError(
             f'announce must be "none", "odd", "even" or a comma list, got {spec!r}'
@@ -277,19 +312,13 @@ def announce_subsequence(session: SessionTranscript, indices) -> list[tuple[int,
 def _eve_json(session: SessionTranscript) -> dict | None:
     if session.adversary_kind == "none":
         return None
-    gao = session.adversary_kind == "gao"
+    signs = {o.round_index: o.sign for o in session.eve_observations}
     observations = [
-        {
-            "round": r.round_index,
-            "value": r.eve_observation,
-            "sign": observation_sign(r.round_index) if gao else None,
-        }
+        {"round": r.round_index, "value": r.eve_observation, "sign": signs.get(r.round_index)}
         for r in session.rounds
         if r.eve_observation is not None
     ]
-    resolved, known = (
-        infer_keys(session.eve_knowledge(), session.announced) if gao else (None, {})
-    )
+    resolved, known = session.eve_inference()
     return {
         "observations": observations,
         "resolved_q1": resolved,

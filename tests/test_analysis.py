@@ -18,7 +18,13 @@ from qkdlab.analysis import (
     report_to_csv,
     report_to_json,
 )
-from qkdlab.protocol import ProtocolConfig, announce_subsequence, parse_announce, run_session
+from qkdlab.protocol import (
+    ProtocolConfig,
+    announce_subsequence,
+    parse_announce,
+    run_session,
+    transcript_to_json_dict,
+)
 from qkdlab.register import PureState
 
 
@@ -92,6 +98,32 @@ class TestComputeMetrics:
         session, _ = session_for(3, (1, 2))
         with pytest.raises(ValueError):
             compute_metrics(session, (1, 2, 0))
+
+    @pytest.mark.parametrize("dim", range(2, 6))
+    @pytest.mark.parametrize(
+        "adversary", [None, InterceptResend(), GaoAttack()], ids=["honest", "intercept", "gao"]
+    )
+    def test_metrics_and_transcript_read_one_inference(self, dim, adversary):
+        rounds = 7
+        key = _key(dim, rounds)
+        for announce in ([], [1], [1, 3, 5, 7], [rounds]):
+            session, _ = session_for(dim, key, adversary, seed=dim)
+            announce_subsequence(session, announce)
+            resolved, known = session.eve_inference()
+            eve = transcript_to_json_dict(session)["eve"]
+            if adversary is None:
+                assert eve is None and (resolved, known) == (None, {})
+            else:
+                assert eve["resolved_q1"] == resolved
+                assert eve["known_dits"] == {str(r): v for r, v in sorted(known.items())}
+            metrics = compute_metrics(session, key)
+            assert metrics.eve_known_fraction == Fraction(len(known), rounds)
+            assert metrics.eve_candidate_count == (dim if resolved is None else 1)
+            if isinstance(adversary, InterceptResend) and announce == [1]:
+                # announcing the first dit resolves nothing for an interceptor
+                assert metrics.eve_known_fraction == 0 and eve["known_dits"] == {}
+            if isinstance(adversary, GaoAttack) and announce:
+                assert known == {r: key[r - 1] for r in range(1, rounds + 1, 2)}
 
     def test_metrics_are_recomputable(self):
         session, config = session_for(3, (1, 0, 2, 1, 2), GaoAttack())
@@ -181,7 +213,10 @@ class TestExactOutcomes:
         with pytest.raises(ValueError, match=re.escape(str(refused.value))):
             exact_outcomes(3, (0, 1, 2), InterceptResend({9}))
 
-    @pytest.mark.parametrize("dim, key", [(3, ()), (3, (0, 3)), (3, (-1,)), (1, (0,))])
+    @pytest.mark.parametrize(
+        "dim, key",
+        [(3, ()), (3, (0, 3)), (3, (-1,)), (1, (0,)), (3, (1.5,)), (3, (True,)), (3.0, (0,))],
+    )
     def test_refuses_the_keys_a_session_refuses(self, dim, key):
         with pytest.raises(ValueError) as refused:
             run_session(ProtocolConfig(dim, len(key), key))

@@ -359,6 +359,25 @@ class TestUsageErrors:
         assert "expected comma-separated integers" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--d", "3", "--rounds", "20", "--announce", "1_3"],
+             "--announce: announce must be \"none\", \"odd\", \"even\" or a comma list, got '1_3'"),
+            (["--d", "11", "--rounds", "1", "--key", "1_0"],
+             "argument --key: expected comma-separated integers, got '1_0'"),
+            (["--rounds", "12", "--attack", "intercept", "--intercept-rounds", "1_2"],
+             "argument --intercept-rounds: expected comma-separated integers, got '1_2'"),
+        ],
+        ids=["announce", "key", "intercept-rounds"],
+    )
+    def test_digit_separator_in_comma_list(self, capsys, argv, message):
+        # int() alone reads "1_3" as 13
+        with pytest.raises(SystemExit) as info:
+            cli.main(["run", *argv])
+        assert info.value.code == 64
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv", [["run"], ["experiment", "--trials", "2"]], ids=["run", "experiment"]
     )
     def test_repeated_announce_index(self, capsys, argv):

@@ -2,6 +2,7 @@ import itertools
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import GENERIC_STAGE_LABELS
@@ -45,6 +46,22 @@ class TestConfig:
     def test_rounds_must_be_positive(self):
         with pytest.raises(ValueError):
             ProtocolConfig(dim=3, num_rounds=0, key=())
+
+    @pytest.mark.parametrize(
+        "dim, num_rounds, key, name",
+        [(3, 1, (1.5,), "key"), (3, 1, (True,), "key"), (3, 2.0, (0, 0), "num_rounds"),
+         (3, True, (0,), "num_rounds"), (3.0, 1, (0,), "dim")],
+        ids=["float-dit", "bool-dit", "float-rounds", "bool-rounds", "float-dim"],
+    )
+    def test_fields_must_be_integers(self, dim, num_rounds, key, name):
+        # a float dit would be "decoded" as a basis value 1.5, a bool dit serialized as true
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            ProtocolConfig(dim=dim, num_rounds=num_rounds, key=key)
+
+    def test_numpy_integers_become_int(self):
+        config = ProtocolConfig(np.int64(3), np.int64(2), np.array([2, 0]))
+        assert (config.dim, config.num_rounds, config.key) == (3, 2, (2, 0))
+        assert all(type(v) is int for v in (config.dim, config.num_rounds, *config.key))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_must_be_a_64_bit_word(self, seed):
@@ -368,6 +385,15 @@ class TestAnnounce:
         assert parse_announce("even", 5) == [2, 4]
         assert parse_announce("13", 13) == [13]
         assert parse_announce("3,5", 5) == [3, 5]
+        assert parse_announce(" 3 , +5", 5) == [3, 5]
+
+    @pytest.mark.parametrize(
+        "spec", ["1_3", "1,1_0", "\u0661"], ids=["separator", "separator-in-list", "non-ascii-digit"]
+    )
+    def test_parse_reads_ascii_digits_only(self, spec):
+        # int() would read "1_3" as 13 and "\u0661" as 1
+        with pytest.raises(ValueError, match="comma list"):
+            parse_announce(spec, 20)
 
     @pytest.mark.parametrize("spec", ["0", "6", "3,6", "x", "3,,5", "", "odd,3", "3,3", "2,4,2"])
     def test_parse_rejects_malformed_or_out_of_range(self, spec):
@@ -433,6 +459,14 @@ class TestTranscriptJson:
 
 
 class TestEveKnowledgeBridge:
+    @pytest.mark.parametrize("adversary", [None, InterceptResend()], ids=["honest", "intercept"])
+    def test_no_knowledge_for_kinds_whose_reads_say_nothing(self, adversary):
+        session = run_session(ProtocolConfig(dim=3, num_rounds=5, key=(1, 0, 2, 1, 2)), adversary)
+        announce_subsequence(session, [1, 3])
+        assert session.eve_knowledge() is None
+        assert session.eve_observations == ()
+        assert session.eve_inference() == (None, {})
+
     def test_session_knowledge_matches_observations(self):
         config = ProtocolConfig(dim=3, num_rounds=9, key=(1, 0, 2, 1, 2, 0, 0, 1, 2), rng_seed=0)
         session = run_session(config, GaoAttack())
