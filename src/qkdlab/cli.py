@@ -37,6 +37,7 @@ from .protocol import (
     dump_transcript,
     make_rng,
     parse_announce,
+    parse_int,
     parse_int_list,
     run_session,
 )
@@ -62,9 +63,16 @@ def _dit_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _int(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _seed(text: str) -> int:
     try:
-        return check_seed(int(text))
+        return check_seed(parse_int(text))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer in [0, 2**64), got {text!r}"
@@ -76,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--d", type=int, default=3, help="qudit dimension (default 3)")
+    common.add_argument("--d", type=_int, default=3, help="qudit dimension (default 3)")
     common.add_argument("--seed", type=_seed, default=0, help="session RNG seed (default 0)")
 
     # run and verify-paper simulate one key; experiment draws a fresh one per trial
@@ -87,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # run and experiment choose the session's length and adversary
     session = argparse.ArgumentParser(add_help=False)
-    session.add_argument("--rounds", type=int, default=5, help="number of rounds (default 5)")
+    session.add_argument("--rounds", type=_int, default=5, help="number of rounds (default 5)")
     session.add_argument(
         "--attack",
         choices=("none", "intercept", "gao"),
@@ -122,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser(
         "experiment", parents=[common, session], help="aggregate many seeded sessions"
     )
-    experiment.add_argument("--trials", type=int, default=1000, help="number of sessions")
+    experiment.add_argument("--trials", type=_int, default=1000, help="number of sessions")
     experiment.add_argument(
         "--format", choices=("json", "csv"), default="json", help="report format"
     )

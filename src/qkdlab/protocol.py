@@ -52,7 +52,13 @@ class ProtocolViolationError(RuntimeError):
 
 
 def check_seed(value: int, name: str = "seed") -> int:
-    """value, if it is an integer in [0, 2**64), the range of one Philox key word."""
+    """value, if it is an integer in [0, 2**64), the range of one Philox key word.
+
+    A bool raises ValueError naming name, as it does for every other
+    ProtocolConfig field.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     value = operator.index(value)  # a float raises TypeError rather than being truncated
     if not 0 <= value < 1 << 64:
         raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
@@ -245,17 +251,21 @@ def run_session(
     )
 
 
-def parse_int_list(text: str) -> list[int]:
-    """The integers of a comma list of ASCII digits, each with an optional sign and blanks around.
+def parse_int(text: str) -> int:
+    """The integer of ASCII digits with an optional sign and blanks around.
 
-    Raises ValueError for any other part; int() alone would also read
+    Raises ValueError for any other text; int() alone would also read
     digit separators ("1_3" as 13) and non-ASCII digits.
     """
-    parts = [part.strip() for part in text.split(",")]
-    for part in parts:
-        if not re.fullmatch(r"[+-]?[0-9]+", part):
-            raise ValueError(f"not an integer: {part!r}")
-    return [int(part) for part in parts]
+    part = text.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+", part):
+        raise ValueError(f"not an integer: {part!r}")
+    return int(part)
+
+
+def parse_int_list(text: str) -> list[int]:
+    """The integers of a comma list whose every part parse_int reads."""
+    return [parse_int(part) for part in text.split(",")]
 
 
 def parse_announce(spec: str, num_rounds: int) -> list[int]:

@@ -14,6 +14,18 @@ and drops the zero ones.  It raises scale_exp by one and folds it back
 exactly: while scale_exp is at least 2 and d divides every reduced
 coefficient, all amplitudes are divided by d and scale_exp drops by 2.
 
+The gate groups the terms by their other wires, and a group's outputs
+depend only on (d, conjugate, members), where members is the tuple of
+the group's (transformed dit, amplitude coefficients) pairs.  Few such
+keys are distinct (442 among the 50,960 groups of 40 attacked d=7
+sessions), so _hadamard_group memoizes the per-group rows in a
+functools.lru_cache.  A hit is exact: equal keys are equal input rows
+(== and hash treat an int and its equal Fraction alike, and the
+CycloElem constructor brings both to one canonical tuple), and the
+cached CycloElems are immutable, so states share them.  The cache holds
+at most HADAMARD_GROUP_CACHE_SIZE keys, a constant; the least recently
+used go first.
+
 Born weights (|amplitude|**2 summed per value of a wire) are computed in
 one place, which norm_squared, measurement_distribution, project,
 branches and the sampling measurement share.  Like the Hadamard, it
@@ -42,6 +54,7 @@ and the eavesdropper's ancilla.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .ring import CycloElem, rational_value, sqrt_rational
 
@@ -52,6 +65,35 @@ ALICE_WIRE: Wire = "a"
 BOB_WIRE: Wire = "b"
 TRANSIT_WIRE: Wire = "k"
 ANCILLA_WIRE: Wire = "e"
+
+#: Hadamard groups _hadamard_group keeps.  A 13-round attacked session makes 690
+#: distinct ones at d=13 and 2,140 at d=23; 2048 keeps full speed up to d=19, and
+#: at d=23 ru_maxrss of six sessions grows by 7 MB (47 -> 54), where 4096 adds 12
+HADAMARD_GROUP_CACHE_SIZE = 2048
+
+
+@lru_cache(maxsize=HADAMARD_GROUP_CACHE_SIZE)
+def _hadamard_group(dim: int, conjugate: bool, members: tuple) -> tuple[tuple[int, CycloElem], ...]:
+    """The nonzero (t, amplitude) outputs of one group of the generalized Hadamard.
+
+    members holds the group's (j, coeffs) pairs: the transformed wire's
+    value and the amplitude's canonical coefficients.  Each j adds c_i
+    into row[(i + jt) % d] of output t (row[(i - jt) % d] when
+    conjugate); each finished row becomes one CycloElem, and the zero
+    ones are dropped.  The result depends on the arguments alone, and
+    the elements are immutable, so states share them.
+    """
+    rows = [[0] * dim for _ in range(dim)]
+    for j, coeffs in members:
+        step = (-j if conjugate else j) % dim
+        for i, c in enumerate(coeffs):
+            if not c:
+                continue
+            for row in rows:
+                row[i] += c
+                i = (i + step) % dim
+    outputs = ((t, CycloElem(dim, row)) for t, row in enumerate(rows))
+    return tuple((t, amp) for t, amp in outputs if any(amp.coeffs))
 
 
 class PureState:
@@ -174,14 +216,16 @@ class PureState:
         """Generalized Hadamard on one wire: |j> -> d**-1/2 sum_t zeta**(jt) |t>.
 
         conjugate=True applies the entry-wise conjugate transform (phases
-        zeta**(-jt)).  Each output basis state collects one plain row of d
-        coefficients: an input term whose wire holds j and whose amplitude
-        is sum_i c_i zeta**i adds c_i into row[(i + jt) % d] of output t
-        (row[(i - jt) % d] when conjugate).  Each finished row becomes one
-        CycloElem, whose constructor reduces it modulo Phi_d, and the zero
-        ones are dropped.  The global exponent rises by one; then, while
-        it is at least 2 and every reduced coefficient is an int divisible
-        by d, the amplitudes are divided by d and the exponent drops by 2.
+        zeta**(-jt)).  The terms are grouped by their other wires; each
+        group's nonzero outputs come from _hadamard_group, memoized on
+        (d, conjugate, members) with members the group's (j, coeffs)
+        pairs in term order.  Equal keys are equal input rows, so a hit
+        returns exactly the elements a fresh computation would; the cache
+        keeps at most HADAMARD_GROUP_CACHE_SIZE keys.  Each output goes
+        under prefix + (t,) + suffix.  The global exponent rises by one;
+        then, while it is at least 2 and every reduced coefficient is an
+        int divisible by d, the amplitudes are divided by d and the
+        exponent drops by 2.
         """
         idx = self.wire_index(wire)
         dim = self.dim
@@ -190,19 +234,8 @@ class PureState:
             groups.setdefault((basis[:idx], basis[idx + 1:]), []).append((basis[idx], amp.coeffs))
         terms: dict[BasisTuple, CycloElem] = {}
         for (prefix, suffix), members in groups.items():
-            rows = [[0] * dim for _ in range(dim)]
-            for j, coeffs in members:
-                step = (-j if conjugate else j) % dim
-                for i, c in enumerate(coeffs):
-                    if not c:
-                        continue
-                    for row in rows:
-                        row[i] += c
-                        i = (i + step) % dim
-            for t, row in enumerate(rows):
-                amp = CycloElem(dim, row)
-                if any(amp.coeffs):
-                    terms[prefix + (t,) + suffix] = amp
+            for t, amp in _hadamard_group(dim, conjugate, tuple(members)):
+                terms[prefix + (t,) + suffix] = amp
         scale_exp = self.scale_exp + 1
         # a coefficient that d divides is an int: a non-integer Fraction never is
         while scale_exp >= 2 and terms and not any(

@@ -378,6 +378,35 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--d", "1_1"], "argument --d: expected an integer, got '1_1'"),
+            (["run", "--rounds", "1_2"], "argument --rounds: expected an integer, got '1_2'"),
+            (["run", "--seed", "1_0"],
+             "argument --seed: expected an integer in [0, 2**64), got '1_0'"),
+            (["verify-paper", "--key-seed", "3_1"],
+             "argument --key-seed: expected an integer in [0, 2**64), got '3_1'"),
+            (["experiment", "--trials", "1_0"],
+             "argument --trials: expected an integer, got '1_0'"),
+            (["run", "--d", "\u0665"], "argument --d: expected an integer, got '\u0665'"),
+        ],
+        ids=["d", "rounds", "seed", "key-seed", "trials", "non-ascii-digit"],
+    )
+    def test_integer_option_reads_ascii_digits_only(self, capsys, argv, message):
+        # type=int and int(text) read "1_1" as 11 and an Arabic-Indic five as 5
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: qkdlab {argv[0]} ")
+        assert message in err
+
+    def test_integer_option_keeps_sign_and_blanks(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--d", " 5 ", "--rounds", "+3", "--seed", " 7")
+        assert code == 0
+        assert out.startswith("dim=5 rounds=3 attack=none seed=7\n")
+
+    @pytest.mark.parametrize(
         "argv", [["run"], ["experiment", "--trials", "2"]], ids=["run", "experiment"]
     )
     def test_repeated_announce_index(self, capsys, argv):

@@ -91,6 +91,18 @@ class TestRng:
         with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 2\*\*64\), got {value}$"):
             make_rng(seed, stream)
 
+    @pytest.mark.parametrize(
+        "make, name",
+        [(lambda: ProtocolConfig(3, 1, (0,), rng_seed=True), "rng_seed"),
+         (lambda: make_rng(1, stream=False), "stream"),
+         (lambda: make_rng(True), "seed")],
+        ids=["config-rng-seed", "make-rng-stream", "make-rng-seed"],
+    )
+    def test_bool_seed_is_refused(self, make, name):
+        # operator.index reads True as 1, and the transcript would write "rng_seed": true
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got (True|False)$"):
+            make()
+
     def test_float_seed_is_refused_not_truncated(self):
         with pytest.raises(TypeError):
             make_rng(1.5)

@@ -19,13 +19,15 @@ from helpers import (
 )
 from qkdlab.adversary import GaoAttack, InterceptResend
 from qkdlab.closed_forms import eavesdrop_stage_states
-from qkdlab.protocol import ProtocolConfig, make_rng, run_session
+from qkdlab.protocol import ProtocolConfig, announce_subsequence, make_rng, run_session
 from qkdlab.register import (
+    HADAMARD_GROUP_CACHE_SIZE,
     DensityMatrixSlice,
     PureState,
     basis_state,
     bell_state,
     first_difference,
+    _hadamard_group,
     state_equals,
 )
 from qkdlab import ring
@@ -260,6 +262,16 @@ class TestHadamard:
 
     @pytest.mark.parametrize("dim", range(2, 10))
     def test_matches_reference_hadamard(self, dim):
+        # cold: every group is computed afresh
+        self.check_against_reference(dim, warm=False)
+
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_matches_reference_hadamard_warm(self, dim):
+        # warm: every group comes from the memo
+        self.check_against_reference(dim, warm=True)
+
+    @staticmethod
+    def check_against_reference(dim, warm):
         rng = make_rng(100 + dim)
         wires = ("x", "y", "z")
         folded = 0
@@ -282,11 +294,57 @@ class TestHadamard:
             for st in inputs:
                 for wire in wires:
                     for conjugate in (False, True):
+                        if warm:
+                            st.apply_hadamard(wire, conjugate=conjugate)
+                            before = _hadamard_group.cache_info()
+                        else:
+                            _hadamard_group.cache_clear()
                         got = st.apply_hadamard(wire, conjugate=conjugate)
+                        if warm:
+                            after = _hadamard_group.cache_info()
+                            assert after.misses == before.misses and after.hits > before.hits
                         want = reference_hadamard(st, wire, conjugate=conjugate)
                         assert got.to_json_dict() == want.to_json_dict()
                         folded += got.scale_exp < st.scale_exp + 1
         assert folded
+
+    def test_memo_keeps_dimensions_and_conjugates_apart(self):
+        # one members tuple read at d=3 and at d=5 (where c_3 = c_4 = 0),
+        # each with both phase signs: four keys, four different results
+        members = ((0, (1, 0, 0)), (2, (0, 1, 0)))
+        calls = [(dim, conjugate) for dim in (3, 5) for conjugate in (False, True)]
+        _hadamard_group.cache_clear()
+        results = [_hadamard_group(dim, conjugate, members) for dim, conjugate in calls]
+        assert _hadamard_group.cache_info().currsize == 4
+        assert len({tuple((t, amp.coeffs) for t, amp in r) for r in results}) == 4
+        for (dim, conjugate), result in zip(calls, results):
+            pad = (0,) * (dim - 3)
+            st = PureState(dim, ("x",), 0, {(j,): CycloElem(dim, c + pad) for j, c in members})
+            want = reference_hadamard(st, "x", conjugate=conjugate)
+            assert {(t,): amp for t, amp in result} == want.terms
+            # a second call with the same key returns the same elements
+            assert _hadamard_group(dim, conjugate, members) is result
+
+    def test_memo_is_bounded(self):
+        info = _hadamard_group.cache_info()
+        assert info.maxsize is not None
+        assert info.maxsize == HADAMARD_GROUP_CACHE_SIZE
+
+    def test_gao_session_decodes_key_at_d11(self):
+        # 13 rounds at d=11 through the memo: Bob reads the key, and Eve's odd
+        # reads obey the sign law r_m = q_m + (-1)**((m - 3) / 2) * q_1
+        dim, rounds = 11, 13
+        key = tuple(int(x) for x in make_rng(311, stream=1).integers(0, dim, rounds))
+        session = run_session(ProtocolConfig(dim, rounds, key, rng_seed=311), GaoAttack())
+        assert session.bob_outcomes == key
+        got = [(o.round_index, o.value, o.sign) for o in session.eve_observations]
+        want = [
+            (m, (key[m - 1] + sign * key[0]) % dim, sign)
+            for m, sign in zip(range(3, rounds + 1, 2), [1, -1] * rounds)
+        ]
+        assert got == want
+        announce_subsequence(session, [3])
+        assert session.eve_inference() == (key[0], {m: key[m - 1] for m in range(1, rounds + 1, 2)})
 
     def test_fold_reads_reduced_rows(self):
         # sum_t zeta^t |t> at d=4: the conjugate transform's unreduced row for
