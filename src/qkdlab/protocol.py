@@ -29,7 +29,6 @@ and the CLI all read that one result.
 from __future__ import annotations
 
 import json
-import operator
 import re
 from dataclasses import dataclass, field
 
@@ -42,6 +41,7 @@ from .register import (
     TRANSIT_WIRE,
     PureState,
     bell_state,
+    check_integer,
 )
 
 SCHEMA_VERSION = "v1"
@@ -54,12 +54,11 @@ class ProtocolViolationError(RuntimeError):
 def check_seed(value: int, name: str = "seed") -> int:
     """value, if it is an integer in [0, 2**64), the range of one Philox key word.
 
-    A bool raises ValueError naming name, as it does for every other
-    ProtocolConfig field.
+    A bool, a float or any other non-integer raises ValueError naming
+    name, as it does for every other ProtocolConfig field; a float is
+    never truncated.
     """
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = operator.index(value)  # a float raises TypeError rather than being truncated
+    value = check_integer(value, name)
     if not 0 <= value < 1 << 64:
         raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
     return value
@@ -75,16 +74,6 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _integer(value, name: str) -> int:
-    """value as an int; a bool, a float or any other non-integer raises ValueError naming name."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)  # numpy integers become int
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     dim: int
@@ -93,9 +82,9 @@ class ProtocolConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _integer(self.dim, "dim"))
-        object.__setattr__(self, "num_rounds", _integer(self.num_rounds, "num_rounds"))
-        object.__setattr__(self, "key", tuple(_integer(q, "key") for q in self.key))
+        object.__setattr__(self, "dim", check_integer(self.dim, "dim"))
+        object.__setattr__(self, "num_rounds", check_integer(self.num_rounds, "num_rounds"))
+        object.__setattr__(self, "key", tuple(check_integer(q, "key") for q in self.key))
         if self.dim < 2:
             raise ValueError(f"dimension must be at least 2, got {self.dim}")
         if self.num_rounds < 1:

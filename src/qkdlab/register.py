@@ -26,6 +26,22 @@ cached CycloElems are immutable, so states share them.  The cache holds
 at most HADAMARD_GROUP_CACHE_SIZE keys, a constant; the least recently
 used go first.
 
+In front of the group memo sits a memo of the whole gate.  The protocol's
+states recur: honest rounds leave the Bell state fixed, and the attack's
+ancilla mirrors the basis change, whose Fourier gate has order 4, so from
+round 2 on the shared state returns to the same few vectors.  The key is
+(d, wire index, conjugate, scale_exp, the basis tuples in term order,
+their coefficient tuples in the same order) and the value is the
+output's scale_exp and terms.  A hit is exact: coefficient tuples are
+canonical and basis values are plain ints (the constructor and
+insert_wire refuse a bool and turn numpy integers into int), so equal
+keys are equal input vectors written in the same term order, and the hit
+returns a copy of the terms a fresh computation would give, in the same
+order, under the caller's own wire labels.  The memo is bounded
+by the terms it holds, input plus output, since one entry holds from d
+to d**3 of them: it keeps at most HADAMARD_GATE_MEMO_TERMS, a constant,
+and drops the least recently used entries first.
+
 Born weights (|amplitude|**2 summed per value of a wire) are computed in
 one place, which norm_squared, measurement_distribution, project,
 branches and the sampling measurement share.  Like the Hadamard, it
@@ -53,6 +69,8 @@ and the eavesdropper's ancilla.
 
 from __future__ import annotations
 
+import operator
+from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 
@@ -70,6 +88,12 @@ ANCILLA_WIRE: Wire = "e"
 #: distinct ones at d=13 and 2,140 at d=23; 2048 keeps full speed up to d=19, and
 #: at d=23 ru_maxrss of six sessions grows by 7 MB (47 -> 54), where 4096 adds 12
 HADAMARD_GROUP_CACHE_SIZE = 2048
+
+#: Terms, input plus output, the whole-gate memo holds.  A 13-round attacked session
+#: keeps 14 entries: 3,472 terms at d=7, 60,040 at d=19 and 104,880 at d=23.  Over
+#: six d=23 sessions 2**17 runs 2.5x faster than no memo, with ru_maxrss 54.5 -> 65.5
+#: MB; 2**16 thrashes (no hit, no gain) and 2**18 gains 6% more for 12 MB more
+HADAMARD_GATE_MEMO_TERMS = 1 << 17
 
 
 @lru_cache(maxsize=HADAMARD_GROUP_CACHE_SIZE)
@@ -94,6 +118,70 @@ def _hadamard_group(dim: int, conjugate: bool, members: tuple) -> tuple[tuple[in
                 i = (i + step) % dim
     outputs = ((t, CycloElem(dim, row)) for t, row in enumerate(rows))
     return tuple((t, amp) for t, amp in outputs if any(amp.coeffs))
+
+
+class _HashedKey(list):
+    """A memo key that hashes its contents once, like functools.lru_cache's keys.
+
+    A gate key holds every term of the input, and an OrderedDict hashes a
+    key again in move_to_end; equality stays list equality.
+    """
+
+    __slots__ = ("hashvalue",)
+
+    def __init__(self, fields: tuple) -> None:
+        self[:] = fields
+        self.hashvalue = hash(fields)
+
+    def __hash__(self) -> int:
+        return self.hashvalue
+
+
+class _GateMemo:
+    """Whole-gate results, least recently used first, bounded by the terms they hold.
+
+    An entry's size is its input's term count plus its output's.  Storing
+    an entry evicts the oldest ones until the total fits within budget; an
+    entry larger than budget on its own is not stored.  hits and misses
+    count the lookups since the last clear().
+    """
+
+    __slots__ = ("budget", "entries", "terms", "hits", "misses")
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.entries: OrderedDict = OrderedDict()
+        self.terms = 0
+        self.hits = self.misses = 0
+
+    def get(self, key):
+        """The value stored under key, or None."""
+        entry = self.entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        self.entries.move_to_end(key)
+        self.hits += 1
+        return entry[0]
+
+    def put(self, key, value, size: int) -> None:
+        """Store value under key, an absent key, as an entry of size terms."""
+        if size > self.budget:
+            return
+        while self.terms + size > self.budget:
+            _, (_, old_size) = self.entries.popitem(last=False)
+            self.terms -= old_size
+        self.entries[key] = (value, size)
+        self.terms += size
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.terms = 0
+        self.hits = self.misses = 0
+
+
+_hadamard_gate_memo = _GateMemo(HADAMARD_GATE_MEMO_TERMS)
+_coeffs = operator.attrgetter("coeffs")
 
 
 class PureState:
@@ -121,6 +209,9 @@ class PureState:
         clean: dict[BasisTuple, CycloElem] = {}
         for basis, amp in dict(terms).items():
             basis = tuple(basis)
+            # plain-int tuples, the common case, need no per-item check
+            if not {int}.issuperset(map(type, basis)):
+                basis = tuple(check_integer(v, "basis value") for v in basis)
             if len(basis) != len(wires):
                 raise ValueError(f"basis tuple {basis} does not match wires {wires}")
             if any(not 0 <= v < dim for v in basis):
@@ -183,10 +274,12 @@ class PureState:
     def insert_wire(self, wire: Wire, value: int, position: int) -> PureState:
         """Adjoin wire in basis state |value> at index position of the wires.
 
-        Only the basis tuples change; no amplitude is touched.
+        Only the basis tuples change; no amplitude is touched.  value must
+        be an integer and not a bool; a numpy integer is stored as int.
         """
         if wire in self.wires:
             raise ValueError(f"wire {wire!r} already present in state wires {self.wires}")
+        value = check_integer(value, "value")
         if not 0 <= value < self.dim:
             raise ValueError(f"value {value} out of range for dimension {self.dim}")
         if not 0 <= position <= len(self.wires):
@@ -216,22 +309,38 @@ class PureState:
         """Generalized Hadamard on one wire: |j> -> d**-1/2 sum_t zeta**(jt) |t>.
 
         conjugate=True applies the entry-wise conjugate transform (phases
-        zeta**(-jt)).  The terms are grouped by their other wires; each
-        group's nonzero outputs come from _hadamard_group, memoized on
-        (d, conjugate, members) with members the group's (j, coeffs)
-        pairs in term order.  Equal keys are equal input rows, so a hit
-        returns exactly the elements a fresh computation would; the cache
-        keeps at most HADAMARD_GROUP_CACHE_SIZE keys.  Each output goes
-        under prefix + (t,) + suffix.  The global exponent rises by one;
-        then, while it is at least 2 and every reduced coefficient is an
-        int divisible by d, the amplitudes are divided by d and the
-        exponent drops by 2.
+        zeta**(-jt)).  The whole gate is memoized on (d, wire index,
+        conjugate, scale_exp, the basis tuples in term order, their
+        coefficient tuples).  Coefficient tuples are canonical and basis
+        values plain ints, so equal keys are equal input vectors in the
+        same term order, and a hit returns the stored output's scale_exp
+        and a copy of its terms under this state's wires, with no grouping
+        and no fold.  The memo keeps its own dict, so no state shares it,
+        and holds at most HADAMARD_GATE_MEMO_TERMS terms, input plus output.
+
+        On a miss the terms are grouped by their other wires; each group's
+        nonzero outputs come from _hadamard_group, memoized on (d,
+        conjugate, members) with members the group's (j, coeffs) pairs in
+        term order.  Equal keys are equal input rows, so a hit returns
+        exactly the elements a fresh computation would; that cache keeps
+        at most HADAMARD_GROUP_CACHE_SIZE keys.  Each output goes under
+        prefix + (t,) + suffix.  The global exponent rises by one; then,
+        while it is at least 2 and every reduced coefficient is an int
+        divisible by d, the amplitudes are divided by d and the exponent
+        drops by 2.
         """
         idx = self.wire_index(wire)
         dim = self.dim
+        bases = tuple(self.terms)
+        rows = tuple(map(_coeffs, self.terms.values()))
+        key = _HashedKey((dim, idx, conjugate, self.scale_exp, bases, rows))
+        known = _hadamard_gate_memo.get(key)
+        if known is not None:
+            scale_exp, terms = known
+            return PureState._derived(dim, self.wires, scale_exp, dict(terms))
         groups: dict[tuple[BasisTuple, BasisTuple], list] = {}
-        for basis, amp in self.terms.items():
-            groups.setdefault((basis[:idx], basis[idx + 1:]), []).append((basis[idx], amp.coeffs))
+        for basis, coeffs in zip(bases, rows):
+            groups.setdefault((basis[:idx], basis[idx + 1:]), []).append((basis[idx], coeffs))
         terms: dict[BasisTuple, CycloElem] = {}
         for (prefix, suffix), members in groups.items():
             for t, amp in _hadamard_group(dim, conjugate, tuple(members)):
@@ -243,7 +352,8 @@ class PureState:
         ):
             terms = {b: CycloElem(dim, [c // dim for c in amp.coeffs]) for b, amp in terms.items()}
             scale_exp -= 2
-        return PureState._derived(dim, self.wires, scale_exp, terms)
+        _hadamard_gate_memo.put(key, (scale_exp, terms), len(bases) + len(terms))
+        return PureState._derived(dim, self.wires, scale_exp, dict(terms))
 
     # -- measurement ---------------------------------------------------------
 
@@ -420,6 +530,20 @@ class PureState:
             f"PureState(dim={self.dim}, wires={self.wires}, scale_exp={self.scale_exp}, "
             f"terms={len(self.terms)})"
         )
+
+
+def check_integer(value, name: str) -> int:
+    """value as an int; a bool, a float or any other non-integer raises ValueError naming name.
+
+    Basis values go through it too: True == 1 with equal hashes, so a bool
+    would share a Hadamard memo key with 1 and be written to JSON as true.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)  # numpy integers become int
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _json_known_fields(data, known: tuple[str, ...]) -> None:

@@ -104,8 +104,10 @@ class TestRng:
             make()
 
     def test_float_seed_is_refused_not_truncated(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
             make_rng(1.5)
+        with pytest.raises(ValueError, match=r"^rng_seed must be an integer, got 1\.5$"):
+            ProtocolConfig(3, 1, (0,), rng_seed=1.5)
 
     def test_largest_seed_and_stream_accepted(self):
         top = 2**64 - 1

@@ -19,18 +19,27 @@ from helpers import (
 )
 from qkdlab.adversary import GaoAttack, InterceptResend
 from qkdlab.closed_forms import eavesdrop_stage_states
-from qkdlab.protocol import ProtocolConfig, announce_subsequence, make_rng, run_session
+from qkdlab.protocol import (
+    ProtocolConfig,
+    announce_subsequence,
+    make_rng,
+    run_session,
+    transcript_to_json_dict,
+)
 from qkdlab.register import (
+    HADAMARD_GATE_MEMO_TERMS,
     HADAMARD_GROUP_CACHE_SIZE,
     DensityMatrixSlice,
     PureState,
     basis_state,
     bell_state,
     first_difference,
+    _GateMemo,
+    _hadamard_gate_memo,
     _hadamard_group,
     state_equals,
 )
-from qkdlab import ring
+from qkdlab import register, ring
 from qkdlab.ring import CycloElem, rational_value, zeta_pow
 
 
@@ -83,6 +92,19 @@ class TestConstruction:
             PureState(3, ("x",), 0, {(3,): CycloElem.one(3)})
         with pytest.raises(ValueError):
             PureState(3, ("x", "y"), 0, {(0,): CycloElem.one(3)})
+
+    def test_rejects_bool_basis_values(self):
+        # True == 1 with equal hashes, and to_json_dict would write "basis": [true]
+        with pytest.raises(ValueError, match=r"^basis value must be an integer, got True$"):
+            PureState(3, ("x",), 0, {(True,): CycloElem.one(3)})
+        with pytest.raises(ValueError, match=r"^basis value must be an integer, got 1\.0$"):
+            PureState(3, ("x",), 0, {(1.0,): CycloElem.one(3)})
+
+    def test_numpy_basis_values_are_stored_as_int(self):
+        st = PureState(3, ("x", "y"), 0, {(np.int64(1), np.uint8(2)): CycloElem.one(3)})
+        assert [type(v) for v in next(iter(st.terms))] == [int, int]
+        text = json.dumps(st.to_json_dict())
+        assert PureState.from_json_dict(json.loads(text)).terms == st.terms
 
     def test_rejects_duplicate_wires(self):
         with pytest.raises(ValueError):
@@ -143,6 +165,13 @@ class TestInsertWire:
         assert st.scale_exp == 1
         # only the basis tuples are rebuilt: the amplitudes are the same objects
         assert all(st.terms[(j, j, 1)] is bell.terms[(j, j)] for j in range(3))
+
+    def test_value_is_a_plain_int(self):
+        with pytest.raises(ValueError, match=r"^value must be an integer, got True$"):
+            bell_state(3).insert_wire("k", True, 2)
+        st = bell_state(3).insert_wire("k", np.int64(2), 2)
+        assert {type(v) for b in st.terms for v in b} == {int}
+        json.dumps(st.to_json_dict())
 
     def test_matches_tensor_then_reorder(self):
         rng = make_rng(40)
@@ -262,16 +291,21 @@ class TestHadamard:
 
     @pytest.mark.parametrize("dim", range(2, 10))
     def test_matches_reference_hadamard(self, dim):
-        # cold: every group is computed afresh
-        self.check_against_reference(dim, warm=False)
+        # cold: both memos cleared, so every group is computed afresh
+        self.check_against_reference(dim, "cold")
 
     @pytest.mark.parametrize("dim", range(2, 10))
     def test_matches_reference_hadamard_warm(self, dim):
-        # warm: every group comes from the memo
-        self.check_against_reference(dim, warm=True)
+        # group-warm: the gate memo is cleared, and every group comes from the group memo
+        self.check_against_reference(dim, "group-warm")
+
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_matches_reference_hadamard_gate_warm(self, dim):
+        # gate-warm: the second call is a whole-gate hit
+        self.check_against_reference(dim, "gate-warm")
 
     @staticmethod
-    def check_against_reference(dim, warm):
+    def check_against_reference(dim, mode):
         rng = make_rng(100 + dim)
         wires = ("x", "y", "z")
         folded = 0
@@ -294,15 +328,30 @@ class TestHadamard:
             for st in inputs:
                 for wire in wires:
                     for conjugate in (False, True):
-                        if warm:
-                            st.apply_hadamard(wire, conjugate=conjugate)
-                            before = _hadamard_group.cache_info()
-                        else:
+                        if mode == "cold":
                             _hadamard_group.cache_clear()
+                            _hadamard_gate_memo.clear()
+                        else:
+                            first = st.apply_hadamard(wire, conjugate=conjugate)
+                            if mode == "group-warm":
+                                _hadamard_gate_memo.clear()
+                            groups = _hadamard_group.cache_info()
+                            gates = (_hadamard_gate_memo.hits, _hadamard_gate_memo.misses)
                         got = st.apply_hadamard(wire, conjugate=conjugate)
-                        if warm:
+                        if mode == "group-warm":
                             after = _hadamard_group.cache_info()
-                            assert after.misses == before.misses and after.hits > before.hits
+                            assert after.misses == groups.misses and after.hits > groups.hits
+                            assert _hadamard_gate_memo.misses == gates[1] + 1
+                        elif mode == "gate-warm":
+                            assert _hadamard_group.cache_info() == groups
+                            assert (_hadamard_gate_memo.hits, _hadamard_gate_memo.misses) == (
+                                gates[0] + 1,
+                                gates[1],
+                            )
+                            # the same terms in the same order, in a dict of the state's own
+                            assert list(got.terms.items()) == list(first.terms.items())
+                            again = st.apply_hadamard(wire, conjugate=conjugate)
+                            assert len({id(first.terms), id(got.terms), id(again.terms)}) == 3
                         want = reference_hadamard(st, wire, conjugate=conjugate)
                         assert got.to_json_dict() == want.to_json_dict()
                         folded += got.scale_exp < st.scale_exp + 1
@@ -325,10 +374,92 @@ class TestHadamard:
             # a second call with the same key returns the same elements
             assert _hadamard_group(dim, conjugate, members) is result
 
+    def test_gate_memo_keeps_dim_wire_conjugate_and_scale_apart(self):
+        # the same basis values and coefficients (padded with zeros at d=5)
+        # under each key field in turn: every call misses once, then hits,
+        # and both give the reference result
+        def state(dim, scale_exp):
+            pad = (0,) * (dim - 3)
+            terms = {(0, 1): (2, 0, 0), (2, 0): (0, 3, 0), (1, 1): (0, 0, 1)}
+            return PureState(
+                dim, ("x", "y"), scale_exp, {b: CycloElem(dim, c + pad) for b, c in terms.items()}
+            )
+
+        calls = [
+            (state(dim, scale_exp), wire, conjugate)
+            for dim in (3, 5)
+            for scale_exp in (0, 2)
+            for wire in ("x", "y")
+            for conjugate in (False, True)
+        ]
+        _hadamard_gate_memo.clear()
+        results = []
+        for st, wire, conjugate in calls:
+            got = st.apply_hadamard(wire, conjugate=conjugate)
+            assert got.to_json_dict() == reference_hadamard(st, wire, conjugate).to_json_dict()
+            results.append(got.to_json_dict())
+        assert _hadamard_gate_memo.misses == len(calls) == len(_hadamard_gate_memo.entries)
+        assert len({json.dumps(r) for r in results}) == len(calls)
+        for (st, wire, conjugate), want in zip(calls, results):
+            assert st.apply_hadamard(wire, conjugate=conjugate).to_json_dict() == want
+        assert _hadamard_gate_memo.hits == len(calls)
+        assert _hadamard_gate_memo.misses == len(calls)
+
+    def test_gate_memo_hit_carries_the_callers_wires(self):
+        terms = {(0, 1): CycloElem(3, (1, 0, 0)), (2, 2): CycloElem(3, (0, 1, 0))}
+        _hadamard_gate_memo.clear()
+        first = PureState(3, ("x", "y"), 1, terms).apply_hadamard("x")
+        other = PureState(3, ("e", "a"), 1, terms)
+        got = other.apply_hadamard("e")
+        assert (_hadamard_gate_memo.hits, _hadamard_gate_memo.misses) == (1, 1)
+        assert got.wires == ("e", "a") and first.wires == ("x", "y")
+        assert got.to_json_dict() == reference_hadamard(other, "e").to_json_dict()
+
     def test_memo_is_bounded(self):
         info = _hadamard_group.cache_info()
         assert info.maxsize is not None
         assert info.maxsize == HADAMARD_GROUP_CACHE_SIZE
+        assert _hadamard_gate_memo.budget == HADAMARD_GATE_MEMO_TERMS
+
+    def test_gate_memo_holds_at_most_its_budget(self):
+        # a 13-round attacked session at d=11: entries of up to 2 * 11**3 terms
+        dim, rounds = 11, 13
+        key = tuple(int(x) for x in make_rng(113, stream=1).integers(0, dim, rounds))
+        _hadamard_gate_memo.clear()
+        run_session(ProtocolConfig(dim, rounds, key, rng_seed=113), GaoAttack())
+        sizes = [size for _, size in _hadamard_gate_memo.entries.values()]
+        assert max(sizes) > dim**3
+        assert _hadamard_gate_memo.terms == sum(sizes) <= HADAMARD_GATE_MEMO_TERMS
+        for key_, ((scale_exp, terms), size) in _hadamard_gate_memo.entries.items():
+            assert size == len(key_[4]) + len(terms) and len(key_[4]) == len(key_[5])
+
+    def test_gate_memo_evicts_within_a_small_budget(self, monkeypatch):
+        # with room for a few d=5 entries only, the oldest go first and every
+        # transcript is the one the full-size memo gives
+        dim, rounds = 5, 13
+        key = tuple(int(x) for x in make_rng(55, stream=1).integers(0, dim, rounds))
+        config = ProtocolConfig(dim, rounds, key, rng_seed=55)
+        want = transcript_to_json_dict(run_session(config, GaoAttack()))
+        small = _GateMemo(2 * dim**3 + 3 * dim**2)
+        monkeypatch.setattr(register, "_hadamard_gate_memo", small)
+        assert transcript_to_json_dict(run_session(config, GaoAttack())) == want
+        assert 0 < small.terms <= small.budget
+        assert len(small.entries) < small.misses
+        # an entry larger than the whole budget is not stored
+        small.clear()
+        small.put("big", None, small.budget + 1)
+        assert not small.entries and small.terms == 0
+
+    def test_gao_gate_misses_do_not_grow_with_rounds(self):
+        # from round 2 on the shared state recurs with period 4, so a
+        # 101-round session meets no gate input that a 13-round one did not
+        misses = []
+        for rounds in (13, 101):
+            key = tuple(int(x) for x in make_rng(rounds, stream=1).integers(0, 5, rounds))
+            _hadamard_gate_memo.clear()
+            run_session(ProtocolConfig(5, rounds, key, rng_seed=rounds), GaoAttack())
+            misses.append(_hadamard_gate_memo.misses)
+        assert misses[0] == misses[1]
 
     def test_gao_session_decodes_key_at_d11(self):
         # 13 rounds at d=11 through the memo: Bob reads the key, and Eve's odd
