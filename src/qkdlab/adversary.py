@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .register import ANCILLA_WIRE, TRANSIT_WIRE, PureState
+from .register import ANCILLA_WIRE, TRANSIT_WIRE, PureState, check_integer
 
 
 class ScheduleViolationError(RuntimeError):
@@ -104,7 +104,8 @@ class InterceptResend(AdversaryStrategy):
 
     def __init__(self, attack_rounds=None) -> None:
         if attack_rounds is not None:
-            self.attack_rounds = tuple(sorted(set(attack_rounds)))
+            rounds = {check_integer(r, "attack round") for r in attack_rounds}
+            self.attack_rounds = tuple(sorted(rounds))
 
     def on_transit(self, state, round_index, measure):
         """Measure the travelling qudit and forward the collapsed state."""

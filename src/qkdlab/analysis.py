@@ -31,7 +31,7 @@ from .protocol import (
     make_rng,
     run_session,
 )
-from .register import PureState, bell_state
+from .register import PureState, bell_state, check_integer
 
 
 @dataclass(frozen=True)
@@ -98,13 +98,20 @@ def exact_outcomes(dim: int, key, strategy: AdversaryStrategy) -> dict[tuple, Fr
     return outcomes
 
 
-def _intercept_walk(dim: int, attack_round: int, key, rounds: int) -> dict[tuple, Fraction]:
-    """exact_outcomes over key's first rounds dits, intercepting attack_round only."""
+def _intercept_walk(dim: int, attack_round: int, key, after: int) -> tuple[tuple, dict]:
+    """key's first attack_round + after dits, and exact_outcomes over them intercepting attack_round only.
+
+    key None stands for all zeros.
+    """
+    attack_round = check_integer(attack_round, "attack_round")
     if attack_round < 1:
         raise ValueError(f"attack_round must be positive, got {attack_round}")
+    rounds = attack_round + after
+    key = (0,) * rounds if key is None else tuple(key)
     if len(key) < rounds:
         raise ValueError(f"need at least {rounds} key dits, got {len(key)}")
-    return exact_outcomes(dim, key[:rounds], InterceptResend({attack_round}))
+    key = key[:rounds]
+    return key, exact_outcomes(dim, key, InterceptResend({attack_round}))
 
 
 def exact_next_round_error(dim: int, attack_round: int, key=None) -> Fraction:
@@ -114,10 +121,9 @@ def exact_next_round_error(dim: int, attack_round: int, key=None) -> Fraction:
     exact Born weights; no sampling is involved.  The result does not
     depend on the key, which defaults to all zeros.
     """
-    rounds = attack_round + 1
-    key = tuple(key) if key is not None else (0,) * rounds
-    walk = _intercept_walk(dim, attack_round, key, rounds)
-    return sum((p for h, p in walk.items() if h[-1][1] != key[attack_round]), Fraction(0))
+    key, walk = _intercept_walk(dim, attack_round, key, 1)
+    # the walk ends with the round after the intercepted one
+    return sum((p for h, p in walk.items() if h[-1][1] != key[-1]), Fraction(0))
 
 
 def exact_intercept_observation_distribution(
@@ -125,7 +131,7 @@ def exact_intercept_observation_distribution(
 ) -> dict[int, Fraction]:
     """Exact distribution of the value an interceptor reads in transit."""
     dist: dict[int, Fraction] = {}
-    for history, p in _intercept_walk(dim, attack_round, tuple(key), attack_round).items():
+    for history, p in _intercept_walk(dim, attack_round, tuple(key), 0)[1].items():
         dist[history[-1][0]] = dist.get(history[-1][0], 0) + p
     return dict(sorted(dist.items()))
 
@@ -189,6 +195,7 @@ def monte_carlo(
     so reports are reproducible bit for bit.  announce lists the round
     indices revealed in every trial (see protocol.parse_announce).
     """
+    trials = check_integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     strategy = strategy if strategy is not None else AdversaryStrategy()

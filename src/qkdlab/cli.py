@@ -33,6 +33,7 @@ from .closed_forms import eavesdrop_stage_states
 from .protocol import (
     ProtocolConfig,
     announce_subsequence,
+    check_rounds,
     check_seed,
     dump_transcript,
     make_rng,
@@ -169,12 +170,10 @@ def _make_adversary(args, parser, num_rounds: int):
         rounds = args.intercept_rounds
         if rounds is None:
             return InterceptResend()
-        if not all(1 <= index <= num_rounds for index in rounds):
-            parser.error(f"--intercept-rounds must name rounds in 1..{num_rounds}, got {rounds}")
-        for i, index in enumerate(rounds):
-            if index in rounds[:i]:
-                parser.error(f"--intercept-rounds index {index} repeated")
-        return InterceptResend(rounds)
+        try:
+            return InterceptResend(check_rounds(rounds, num_rounds, "--intercept-rounds"))
+        except ValueError as exc:
+            parser.error(str(exc))
     return GaoAttack()
 
 

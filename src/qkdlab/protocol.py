@@ -212,11 +212,26 @@ def run_round(
     return st, RoundTranscript(round_index, stages, outcome, observation)
 
 
+def check_rounds(indices, num_rounds: int, name: str) -> tuple[int, ...]:
+    """indices as ints, if each is an integer in 1..num_rounds and none repeats.
+
+    Any other index raises ValueError naming name, so announcements,
+    attack rounds and their command-line options follow one rule.
+    """
+    out: dict[int, None] = {}  # keeps the given order
+    for index in indices:
+        index = check_integer(index, f"{name} index")
+        if not 1 <= index <= num_rounds:
+            raise ValueError(f"{name} index {index} outside rounds 1..{num_rounds}")
+        if index in out:
+            raise ValueError(f"{name} index {index} repeated")
+        out[index] = None
+    return tuple(out)
+
+
 def check_attack_rounds(strategy: AdversaryStrategy, num_rounds: int) -> None:
     """Refuse a strategy that names a round outside 1..num_rounds."""
-    outside = [r for r in strategy.attack_rounds or () if not 1 <= r <= num_rounds]
-    if outside:
-        raise ValueError(f"attack rounds {outside} lie outside the session's rounds 1..{num_rounds}")
+    check_rounds(strategy.attack_rounds or (), num_rounds, "attack round")
 
 
 def run_session(
@@ -276,12 +291,7 @@ def parse_announce(spec: str, num_rounds: int) -> list[int]:
         raise ValueError(
             f'announce must be "none", "odd", "even" or a comma list, got {spec!r}'
         ) from None
-    for i, index in enumerate(indices):
-        if not 1 <= index <= num_rounds:
-            raise ValueError(f"announce index {index} outside rounds 1..{num_rounds}")
-        if index in indices[:i]:
-            raise ValueError(f"announce index {index} repeated")
-    return indices
+    return list(check_rounds(indices, num_rounds, "announce"))
 
 
 def announce_subsequence(session: SessionTranscript, indices) -> list[tuple[int, int]]:
@@ -289,17 +299,13 @@ def announce_subsequence(session: SessionTranscript, indices) -> list[tuple[int,
 
     The revealed dits are recorded on the transcript and are treated as
     consumed: they no longer count toward the usable key.  A round can be
-    announced only once per session.
+    announced only once per session; indices follow check_rounds.
     """
-    n = session.config.num_rounds
     done = {index for index, _ in session.announced}
     out = []
-    for index in indices:
-        if not 1 <= index <= n:
-            raise ValueError(f"announce index {index} outside rounds 1..{n}")
+    for index in check_rounds(indices, session.config.num_rounds, "announce"):
         if index in done:
             raise ValueError(f"round {index} is already announced")
-        done.add(index)
         out.append((index, session.config.key[index - 1]))
     session.announced.extend(out)
     return out

@@ -40,7 +40,11 @@ returns a copy of the terms a fresh computation would give, in the same
 order, under the caller's own wire labels.  The memo is bounded
 by the terms it holds, input plus output, since one entry holds from d
 to d**3 of them: it keeps at most HADAMARD_GATE_MEMO_TERMS, a constant,
-and drops the least recently used entries first.
+and empties itself when an entry would take it past that.  No eviction
+order would pay for its code: no benchmark workload fills the memo
+(2,000 attacked d=7 sessions keep 44 entries, 11,872 terms), and from
+d=29 on a session's 14 distinct inputs do not fit at all, so in their
+period-4 cycle least-recently-used order too drops the entry needed next.
 
 Born weights (|amplitude|**2 summed per value of a wire) are computed in
 one place, which norm_squared, measurement_distribution, project,
@@ -70,7 +74,6 @@ and the eavesdropper's ancilla.
 from __future__ import annotations
 
 import operator
-from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 
@@ -120,28 +123,11 @@ def _hadamard_group(dim: int, conjugate: bool, members: tuple) -> tuple[tuple[in
     return tuple((t, amp) for t, amp in outputs if any(amp.coeffs))
 
 
-class _HashedKey(list):
-    """A memo key that hashes its contents once, like functools.lru_cache's keys.
-
-    A gate key holds every term of the input, and an OrderedDict hashes a
-    key again in move_to_end; equality stays list equality.
-    """
-
-    __slots__ = ("hashvalue",)
-
-    def __init__(self, fields: tuple) -> None:
-        self[:] = fields
-        self.hashvalue = hash(fields)
-
-    def __hash__(self) -> int:
-        return self.hashvalue
-
-
 class _GateMemo:
-    """Whole-gate results, least recently used first, bounded by the terms they hold.
+    """Whole-gate results in a plain dict, bounded by the terms they hold.
 
-    An entry's size is its input's term count plus its output's.  Storing
-    an entry evicts the oldest ones until the total fits within budget; an
+    An entry's size is its key's term count plus its value's.  Storing an
+    entry that would take terms past budget first empties the memo; an
     entry larger than budget on its own is not stored.  hits and misses
     count the lookups since the last clear().
     """
@@ -150,28 +136,27 @@ class _GateMemo:
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
-        self.entries: OrderedDict = OrderedDict()
+        self.entries: dict = {}
         self.terms = 0
         self.hits = self.misses = 0
 
     def get(self, key):
         """The value stored under key, or None."""
-        entry = self.entries.get(key)
-        if entry is None:
+        value = self.entries.get(key)
+        if value is None:
             self.misses += 1
-            return None
-        self.entries.move_to_end(key)
-        self.hits += 1
-        return entry[0]
+        else:
+            self.hits += 1
+        return value
 
     def put(self, key, value, size: int) -> None:
         """Store value under key, an absent key, as an entry of size terms."""
         if size > self.budget:
             return
-        while self.terms + size > self.budget:
-            _, (_, old_size) = self.entries.popitem(last=False)
-            self.terms -= old_size
-        self.entries[key] = (value, size)
+        if self.terms + size > self.budget:
+            self.entries.clear()
+            self.terms = 0
+        self.entries[key] = value
         self.terms += size
 
     def clear(self) -> None:
@@ -197,6 +182,7 @@ class PureState:
     __slots__ = ("dim", "wires", "scale_exp", "terms")
 
     def __init__(self, dim: int, wires, scale_exp: int, terms) -> None:
+        dim = check_integer(dim, "dim")
         if dim < 2:
             raise ValueError(f"dimension must be at least 2, got {dim}")
         wires = tuple(wires)
@@ -316,7 +302,9 @@ class PureState:
         same term order, and a hit returns the stored output's scale_exp
         and a copy of its terms under this state's wires, with no grouping
         and no fold.  The memo keeps its own dict, so no state shares it,
-        and holds at most HADAMARD_GATE_MEMO_TERMS terms, input plus output.
+        and holds at most HADAMARD_GATE_MEMO_TERMS terms, input plus output;
+        a result that would take it past that empties it first (the module
+        docstring says why no eviction order pays).
 
         On a miss the terms are grouped by their other wires; each group's
         nonzero outputs come from _hadamard_group, memoized on (d,
@@ -333,7 +321,7 @@ class PureState:
         dim = self.dim
         bases = tuple(self.terms)
         rows = tuple(map(_coeffs, self.terms.values()))
-        key = _HashedKey((dim, idx, conjugate, self.scale_exp, bases, rows))
+        key = (dim, idx, conjugate, self.scale_exp, bases, rows)
         known = _hadamard_gate_memo.get(key)
         if known is not None:
             scale_exp, terms = known
@@ -619,7 +607,7 @@ class DensityMatrixSlice:
 
 def bell_state(dim: int, wires: tuple[Wire, Wire] = (ALICE_WIRE, BOB_WIRE)) -> PureState:
     """The maximally entangled pair sum_j |j,j> / sqrt(d)."""
-    one = CycloElem.one(dim)
+    one = CycloElem.one(check_integer(dim, "dim"))
     return PureState(dim, wires, 1, {(j, j): one for j in range(dim)})
 
 
@@ -628,7 +616,7 @@ def basis_state(dim: int, wire_values) -> PureState:
     pairs = list(wire_values)
     wires = tuple(w for w, _ in pairs)
     values = tuple(v for _, v in pairs)
-    return PureState(dim, wires, 0, {values: CycloElem.one(dim)})
+    return PureState(dim, wires, 0, {values: CycloElem.one(check_integer(dim, "dim"))})
 
 
 # -- comparison ----------------------------------------------------------------

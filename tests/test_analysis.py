@@ -5,6 +5,7 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qkdlab.adversary import AdversaryStrategy, GaoAttack, InterceptResend
@@ -174,6 +175,16 @@ class TestExactNextRoundError:
         with pytest.raises(ValueError, match="need at least 3 key dits"):
             exact_next_round_error(3, 2, key=(0, 1))
 
+    @pytest.mark.parametrize("attack_round", [True, 1.5], ids=["bool", "float"])
+    def test_attack_round_must_be_an_integer(self, attack_round):
+        # True + 1 made a two-round walk intercepting round 1 and returned 2/3
+        with pytest.raises(
+            ValueError, match=f"^attack_round must be an integer, got {attack_round}$"
+        ):
+            exact_next_round_error(3, attack_round)
+        with pytest.raises(ValueError, match="^attack_round must be an integer"):
+            exact_intercept_observation_distribution(3, attack_round, (0, 1))
+
 
 class TestObservationDistribution:
     def test_uniform_and_key_independent(self):
@@ -319,6 +330,20 @@ class TestMonteCarlo:
         config = ProtocolConfig(dim=3, num_rounds=2, key=(0, 0), rng_seed=0)
         with pytest.raises(ValueError):
             monte_carlo(config, None, 0, seed=0)
+
+    @pytest.mark.parametrize("trials", [True, 2.5], ids=["bool", "float"])
+    def test_trials_must_be_an_integer(self, trials):
+        # True ran one trial and reported "trials": true
+        config = ProtocolConfig(dim=3, num_rounds=2, key=(0, 0), rng_seed=0)
+        with pytest.raises(ValueError, match=f"^trials must be an integer, got {trials}$"):
+            monte_carlo(config, None, trials, seed=0)
+
+    def test_numpy_trials_are_reported_as_int(self):
+        config = ProtocolConfig(dim=3, num_rounds=2, key=(0, 0), rng_seed=0)
+        report = monte_carlo(config, None, np.int64(2), seed=0)
+        assert report == monte_carlo(config, None, 2, seed=0)
+        assert type(report.trials) is int
+        assert json.loads(report_to_json([report]))[0]["trials"] == 2
 
 
 class TestReports:

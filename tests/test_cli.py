@@ -53,7 +53,7 @@ class TestRun:
             cli.main(["run", "--d", "3", "--rounds", "3", "--attack", "intercept",
                       "--intercept-rounds", "99"])
         assert info.value.code == 64
-        assert "--intercept-rounds" in capsys.readouterr().err
+        assert "--intercept-rounds index 99 outside rounds 1..3" in capsys.readouterr().err
 
     def test_key_length_mismatch_is_usage_error(self):
         with pytest.raises(SystemExit) as info:

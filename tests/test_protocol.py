@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from qkdlab.protocol import (
     ProtocolConfig,
     ProtocolViolationError,
     announce_subsequence,
+    check_rounds,
     dump_transcript,
     make_rng,
     parse_announce,
@@ -276,8 +278,24 @@ class TestInterceptSession:
     @pytest.mark.parametrize("rounds", [{99}, {0, -2}, {1, 4}])
     def test_attack_rounds_outside_session_rejected(self, rounds):
         config = ProtocolConfig(dim=3, num_rounds=3, key=(0, 1, 2), rng_seed=4)
-        with pytest.raises(ValueError, match="outside the session"):
+        # the rounds are checked in sorted order
+        first = min(r for r in rounds if not 1 <= r <= 3)
+        with pytest.raises(ValueError, match=rf"^attack round index {first} outside rounds 1\.\.3$"):
             run_session(config, InterceptResend(rounds))
+
+
+    @pytest.mark.parametrize("rounds", [[1.5], [True]], ids=["float", "bool"])
+    def test_non_integer_attack_rounds_rejected(self, rounds):
+        # 1.5 intercepted nothing and True intercepted round 1, and both were recorded as given
+        with pytest.raises(ValueError, match=f"^attack round must be an integer, got {rounds[0]}$"):
+            InterceptResend(rounds)
+
+    def test_numpy_attack_rounds_are_recorded_as_int(self):
+        strategy = InterceptResend([np.int64(2), np.int64(2)])
+        assert strategy.attack_rounds == (2,) and type(strategy.attack_rounds[0]) is int
+        session = run_session(ProtocolConfig(dim=3, num_rounds=3, key=(0, 1, 2), rng_seed=4), strategy)
+        text = json.dumps(transcript_to_json_dict(session))
+        assert json.loads(text)["adversary"]["attack_rounds"] == [2]
 
 
 class TestAdversaryContract:
@@ -389,7 +407,7 @@ class TestAnnounce:
         announce_subsequence(session, [3])
         with pytest.raises(ValueError, match="already announced"):
             announce_subsequence(session, [3])
-        with pytest.raises(ValueError, match="already announced"):
+        with pytest.raises(ValueError, match="^announce index 2 repeated$"):
             announce_subsequence(session, [1, 2, 2])
         assert session.announced == [(3, 2)]
 
@@ -413,6 +431,40 @@ class TestAnnounce:
     def test_parse_rejects_malformed_or_out_of_range(self, spec):
         with pytest.raises(ValueError):
             parse_announce(spec, 5)
+
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ([True], "announce index must be an integer, got True"),
+            ([2.0], "announce index must be an integer, got 2.0"),
+            ([1, 4], "announce index 4 outside rounds 1..3"),
+            ([2, 1, 2], "announce index 2 repeated"),
+        ],
+        ids=["bool", "float", "outside", "repeated"],
+    )
+    def test_indices_follow_check_rounds(self, indices, message):
+        session = run_session(ProtocolConfig(dim=3, num_rounds=3, key=(0, 1, 2), rng_seed=0))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            announce_subsequence(session, indices)
+        assert session.announced == []
+
+    def test_numpy_index_is_announced_as_int(self):
+        session = run_session(ProtocolConfig(dim=3, num_rounds=3, key=(0, 1, 2), rng_seed=0))
+        assert announce_subsequence(session, [np.int64(2)]) == [(2, 1)]
+        assert type(session.announced[0][0]) is int
+        assert json.loads(json.dumps(transcript_to_json_dict(session)))["announced"] == [[2, 1]]
+
+    def test_check_rounds(self):
+        assert check_rounds([3, np.int64(1)], 3, "x") == (3, 1)
+        assert [type(i) for i in check_rounds([np.int64(1)], 3, "x")] == [int]
+        assert check_rounds((), 3, "x") == ()
+        for indices, message in (
+            ([1.5], "x index must be an integer, got 1.5"),
+            ([0], "x index 0 outside rounds 1..3"),
+            ([1, 1], "x index 1 repeated"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check_rounds(indices, 3, "x")
 
     def test_honest_and_gao_never_mismatch(self):
         for adversary in (None, GaoAttack()):

@@ -106,6 +106,21 @@ class TestConstruction:
         text = json.dumps(st.to_json_dict())
         assert PureState.from_json_dict(json.loads(text)).terms == st.terms
 
+    def test_numpy_dim_is_stored_as_int(self):
+        st = bell_state(np.int64(3))
+        assert type(st.dim) is int
+        assert json.loads(json.dumps(st.to_json_dict()))["dim"] == 3
+        assert type(PureState(np.int64(3), ("x",), 0, {(1,): CycloElem.one(3)}).dim) is int
+
+    def test_rejects_non_integer_dim(self):
+        for make in (
+            lambda: bell_state(3.0),
+            lambda: basis_state(3.0, [("x", 1)]),
+            lambda: PureState(3.0, ("x",), 0, {(1,): CycloElem.one(3)}),
+        ):
+            with pytest.raises(ValueError, match=r"^dim must be an integer, got 3\.0$"):
+                make()
+
     def test_rejects_duplicate_wires(self):
         with pytest.raises(ValueError):
             PureState(3, ("x", "x"), 0, {(0, 0): CycloElem.one(3)})
@@ -422,20 +437,22 @@ class TestHadamard:
         assert _hadamard_gate_memo.budget == HADAMARD_GATE_MEMO_TERMS
 
     def test_gate_memo_holds_at_most_its_budget(self):
-        # a 13-round attacked session at d=11: entries of up to 2 * 11**3 terms
+        # a 13-round attacked session at d=11: entries of up to 2 * 11**3 terms;
+        # an entry's size is its input's term count plus its output's
         dim, rounds = 11, 13
         key = tuple(int(x) for x in make_rng(113, stream=1).integers(0, dim, rounds))
         _hadamard_gate_memo.clear()
         run_session(ProtocolConfig(dim, rounds, key, rng_seed=113), GaoAttack())
-        sizes = [size for _, size in _hadamard_gate_memo.entries.values()]
+        sizes = []
+        for key_, (scale_exp, terms) in _hadamard_gate_memo.entries.items():
+            assert len(key_[4]) == len(key_[5])
+            sizes.append(len(key_[4]) + len(terms))
         assert max(sizes) > dim**3
         assert _hadamard_gate_memo.terms == sum(sizes) <= HADAMARD_GATE_MEMO_TERMS
-        for key_, ((scale_exp, terms), size) in _hadamard_gate_memo.entries.items():
-            assert size == len(key_[4]) + len(terms) and len(key_[4]) == len(key_[5])
 
     def test_gate_memo_evicts_within_a_small_budget(self, monkeypatch):
-        # with room for a few d=5 entries only, the oldest go first and every
-        # transcript is the one the full-size memo gives
+        # with room for a few d=5 entries only, the memo empties when full and
+        # every transcript is the one the full-size memo gives
         dim, rounds = 5, 13
         key = tuple(int(x) for x in make_rng(55, stream=1).integers(0, dim, rounds))
         config = ProtocolConfig(dim, rounds, key, rng_seed=55)
@@ -445,10 +462,31 @@ class TestHadamard:
         assert transcript_to_json_dict(run_session(config, GaoAttack())) == want
         assert 0 < small.terms <= small.budget
         assert len(small.entries) < small.misses
+        # an entry that overflows by one term leaves only itself, though
+        # dropping one older entry would have made room
+        small.clear()
+        small.put("a", None, 1)
+        small.put("b", None, 1)
+        small.put("new", None, small.budget - 1)
+        assert list(small.entries) == ["new"] and small.terms == small.budget - 1
         # an entry larger than the whole budget is not stored
         small.clear()
         small.put("big", None, small.budget + 1)
         assert not small.entries and small.terms == 0
+
+    def test_gate_memo_never_empties_under_attacked_d7_traffic(self):
+        # the design rests on this: 13-round d=7 gao sessions, one for every
+        # first key dit q_1, keep their gate inputs far within the budget, so
+        # every miss is still held
+        dim, rounds = 7, 13
+        _hadamard_gate_memo.clear()
+        for q1 in range(dim):
+            rest = make_rng(700 + q1, stream=1).integers(0, dim, rounds - 1)
+            key = (q1, *(int(x) for x in rest))
+            run_session(ProtocolConfig(dim, rounds, key, rng_seed=700 + q1), GaoAttack())
+        assert _hadamard_gate_memo.hits > 0
+        assert _hadamard_gate_memo.terms < HADAMARD_GATE_MEMO_TERMS // 8
+        assert _hadamard_gate_memo.misses == len(_hadamard_gate_memo.entries)
 
     def test_gao_gate_misses_do_not_grow_with_rounds(self):
         # from round 2 on the shared state recurs with period 4, so a
