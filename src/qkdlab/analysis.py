@@ -207,8 +207,8 @@ def monte_carlo(
     all_zero = True
     for trial in range(trials):
         trial_rng = make_rng(seed, stream=trial + 1)
-        key = tuple(int(x) for x in trial_rng.integers(0, config.dim, n))
-        session_seed = int(trial_rng.integers(0, 2**63))
+        key = tuple(trial_rng.randrange(config.dim) for _ in range(n))
+        session_seed = trial_rng.getrandbits(63)
         cfg = ProtocolConfig(dim=config.dim, num_rounds=n, key=key, rng_seed=session_seed)
         session = run_session(cfg, strategy)
         if announce:

@@ -151,7 +151,7 @@ def _resolve_key(args, parser) -> tuple[int, ...]:
         return ()  # nothing to draw; ProtocolConfig names the bad --d or --rounds
     key_seed = args.key_seed if args.key_seed is not None else args.seed
     rng = make_rng(key_seed, stream=1)
-    return tuple(int(x) for x in rng.integers(0, args.d, rounds))
+    return tuple(rng.randrange(args.d) for _ in range(rounds))
 
 
 def _make_config(args, parser, key) -> ProtocolConfig:

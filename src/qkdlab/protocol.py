@@ -29,10 +29,9 @@ and the CLI all read that one result.
 from __future__ import annotations
 
 import json
+import random
 import re
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .adversary import AdversaryStrategy, EveKnowledge, EveObservation, infer_keys
 from .register import (
@@ -52,11 +51,13 @@ class ProtocolViolationError(RuntimeError):
 
 
 def check_seed(value: int, name: str = "seed") -> int:
-    """value, if it is an integer in [0, 2**64), the range of one Philox key word.
+    """value, if it is an integer in [0, 2**64).
 
-    A bool, a float or any other non-integer raises ValueError naming
-    name, as it does for every other ProtocolConfig field; a float is
-    never truncated.
+    make_rng packs a seed and a stream into one integer, which is
+    injective only while both fit in 64 bits; the range also keeps every
+    seed accepted before.  A bool, a float or any other non-integer
+    raises ValueError naming name, as it does for every other
+    ProtocolConfig field; a float is never truncated.
     """
     value = check_integer(value, name)
     if not 0 <= value < 1 << 64:
@@ -64,14 +65,13 @@ def check_seed(value: int, name: str = "seed") -> int:
     return value
 
 
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator; distinct (seed, stream) pairs are independent.
+def make_rng(seed: int, stream: int = 0) -> random.Random:
+    """A generator seeded by (seed, stream); distinct pairs give distinct seeds.
 
     Both lie in [0, 2**64); a value outside raises ValueError rather than
     aliasing another seed.
     """
-    key = np.array([check_seed(seed), check_seed(stream, "stream")], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return random.Random(check_seed(seed) << 64 | check_seed(stream, "stream"))
 
 
 @dataclass(frozen=True)

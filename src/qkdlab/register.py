@@ -554,9 +554,16 @@ def _json_field(data, name: str, kind: type | None = None, item: type | None = N
 
 
 def _json_fraction(text, name: str) -> Fraction:
+    """The Fraction whose str() is text, the only form to_json_dict writes.
+
+    Fraction() alone also reads "1_0", "0.5", " 1", "+1", "2/4" and
+    non-ASCII digits; a string that does not round-trip is refused.
+    """
     try:
         if type(text) is str:
-            return Fraction(text)
+            value = Fraction(text) if "/" in text else Fraction(int(text))
+            if str(value) == text:
+                return value
     except (ValueError, ZeroDivisionError):
         pass
     raise ValueError(f"state JSON field {name!r} holds {text!r}, which is no fraction string")

@@ -23,6 +23,15 @@ from qkdlab.ring import CycloElem, cyclotomic_polynomial
 GENERIC_STAGE_LABELS = ("pre_encode", "post_encode", "in_transit", "post_decode")
 
 
+def philox(seed: int, stream: int = 0) -> np.random.Generator:
+    """The NumPy Philox generator the tests draw their random data from.
+
+    It is built as qkdlab.protocol.make_rng once built it, so the tests'
+    data does not change when qkdlab's own generator does.
+    """
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
 def sampler(rng):
     """The one-branch measure function run_round hands a strategy."""
     return lambda state, wire: [state.measure_computational(wire, rng)]

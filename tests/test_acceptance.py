@@ -25,7 +25,6 @@ from qkdlab.closed_forms import eavesdrop_stage_states
 from qkdlab.protocol import (
     ProtocolConfig,
     announce_subsequence,
-    make_rng,
     run_session,
 )
 from qkdlab.register import (
@@ -39,7 +38,7 @@ from qkdlab.register import (
 from qkdlab.ring import CycloElem, zeta_pow
 from qkdlab import cli
 
-from helpers import random_pure_state
+from helpers import philox, random_pure_state
 
 FIVE_ROUND_KEYS = {
     2: [(1, 1, 0, 1, 0), (0, 1, 1, 0, 1), (1, 0, 0, 1, 1)],
@@ -68,7 +67,7 @@ def session_stage_map(session):
 
 
 def random_key(dim, rounds, seed, stream):
-    return tuple(int(v) for v in make_rng(seed, stream=stream).integers(0, dim, size=rounds))
+    return tuple(int(v) for v in philox(seed, stream=stream).integers(0, dim, size=rounds))
 
 
 @pytest.mark.criterion(1, "stage-trace fidelity")
@@ -99,7 +98,7 @@ def test_attacked_sessions_reproduce_key_exactly():
         assert session.bob_outcomes == key
 
     for dim in (2, 3, 5, 7):
-        rng = make_rng(42, stream=dim)
+        rng = philox(42, stream=dim)
         for _ in range(100):
             key = tuple(int(v) for v in rng.integers(0, dim, size=13))
             session = gao_session(dim, key)
@@ -250,7 +249,7 @@ def test_simulation_engine_invariants():
         assert state_equals(rotated, pair)
 
     # unitarity: gates never change the squared norm
-    rng = make_rng(99)
+    rng = philox(99)
     dims = (2, 3, 5, 7)
     for i in range(1000):
         dim = dims[int(rng.integers(0, len(dims)))]
@@ -274,7 +273,7 @@ def test_simulation_engine_invariants():
             assert density == DensityMatrixSlice.maximally_mixed(dim)
 
     # shifting right then left is the identity
-    rng = make_rng(123)
+    rng = philox(123)
     for _ in range(20):
         dim = dims[int(rng.integers(0, len(dims)))]
         st = random_pure_state(rng, dim, ("u", "v"))

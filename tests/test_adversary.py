@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import sampler
+from helpers import philox, sampler
 from qkdlab.adversary import (
     EveKnowledge,
     EveObservation,
@@ -18,7 +18,6 @@ from qkdlab.closed_forms import eavesdrop_stage_states
 from qkdlab.protocol import (
     ProtocolConfig,
     announce_subsequence,
-    make_rng,
     run_round,
     run_session,
     transcript_to_json_dict,
@@ -54,7 +53,7 @@ class TestGaoHooks:
         assert state_equals(rotated, self.STAGES["psi_2_0"])
 
     def test_round_one_runs_from_bare_pair(self):
-        state, transcript = run_round(bell_state(3), 1, 2, GaoAttack(), make_rng(0))
+        state, transcript = run_round(bell_state(3), 1, 2, GaoAttack(), philox(0))
         assert state.wires == ("a", "b", "e")
         assert transcript.bob_outcome == 2
         assert state_equals(transcript.stage_state("psi_1_0"), self.STAGES["psi_1_0"])
@@ -232,7 +231,7 @@ class TestInterceptResendHook:
             assert dist == {v: Fraction(1, 3) for v in range(3)}
 
     def test_resent_state_is_collapsed(self):
-        rng = make_rng(3)
+        rng = philox(3)
         attack = InterceptResend()
         st = bell_state(3).tensor(basis_state(3, [("k", 1)]))
         st = st.apply_controlled_shift("a", "k", "right")
@@ -250,7 +249,7 @@ class TestInterceptResendHook:
         assert sum(p for _, _, p in branches) == 1
 
     def test_skipped_round_passthrough(self):
-        rng = make_rng(3)
+        rng = philox(3)
         attack = InterceptResend({2})
         st = bell_state(3).tensor(basis_state(3, [("k", 1)]))
         ((states, value, p),) = attack.on_transit(st, 1, sampler(rng))

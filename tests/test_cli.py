@@ -496,3 +496,29 @@ class TestModuleEntry:
             cwd=tmp_path, env=env, capture_output=True, text=True,
         )
         assert result.returncode == code, result.stderr
+
+
+NO_NUMPY = """
+import sys
+from qkdlab import cli
+assert "numpy" not in sys.modules, "importing qkdlab loaded numpy"
+sys.modules["numpy"] = None  # a later import of numpy raises ModuleNotFoundError
+for argv in (
+    ["run", "--attack", "intercept"],
+    ["verify-paper", "--d", "5"],
+    ["experiment", "--attack", "intercept", "--trials", "50"],
+):
+    code = cli.main(argv)
+    assert code == 0, (argv, code)
+"""
+
+
+def test_runs_without_numpy(tmp_path):
+    # numpy is a test dependency only; the package needs the standard library alone
+    src = str(Path(qkdlab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    result = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

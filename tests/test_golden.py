@@ -1,12 +1,13 @@
-"""Golden SHA-256 digests of the exact, RNG-free outputs.
+"""Golden SHA-256 digests of the exact outputs and of seeded intercept sessions.
 
 Each case serializes one deterministic result to canonical JSON and
 compares its SHA-256 with a digest recorded from an earlier version of
 the simulator, so a refactor that changes any coefficient, stage,
 basis state or probability fails with the name of the case.  Intercept
-sessions and Monte-Carlo reports are left out: their outcomes come from
-NumPy's Generator, whose streams NumPy does not promise to keep stable
-across versions.
+sessions are sampled, but their only draws are random.Random.random(),
+whose sequence for a given seed Python promises to keep across versions.
+Monte-Carlo reports are left out: they also draw with randrange and
+getrandbits, which carry no such promise.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 
 import pytest
 
-from qkdlab.adversary import GaoAttack
+from qkdlab.adversary import GaoAttack, InterceptResend
 from qkdlab.analysis import exact_intercept_observation_distribution, exact_next_round_error
 from qkdlab.closed_forms import eavesdrop_stage_states
 from qkdlab.protocol import ProtocolConfig, run_session, transcript_to_json_dict
@@ -47,6 +48,12 @@ def _fractions(dist: dict) -> dict:
 CASES = {
     **{f"transcript-honest-d{d}": (lambda d=d: _transcript(d, None)) for d in DIMS},
     **{f"transcript-gao-d{d}": (lambda d=d: _transcript(d, GaoAttack())) for d in DIMS},
+    **{
+        f"transcript-intercept-d{d}": (
+            lambda d=d: [_transcript(d, InterceptResend()), _transcript(d, InterceptResend({1}))]
+        )
+        for d in DIMS
+    },
     **{f"closed-form-stages-d{d}": (lambda d=d: _stages(d)) for d in DIMS},
     "exact-next-round-error": lambda: {
         f"{d},{r}": str(exact_next_round_error(d, r)) for d in DIMS for r in (1, 2, 3)
@@ -79,6 +86,12 @@ GOLDEN = {
     "transcript-honest-d5": "8a59bfba661edc61ffd361bfc27cd985503e06b2887800a3a67b2f1399915dab",
     "transcript-honest-d6": "0636f9ba9f7e7e547feb2d05a15bed82971ec7c77c32558b5818f53b140202e9",
     "transcript-honest-d7": "ffae6d16db5427b3b6370b5d5290e210a7d3492d8f9574ec7ebfa52ff0d4a58b",
+    "transcript-intercept-d2": "987ceb1042a197ccba17b6cae9ca3a795ce04cbd55588813819a87baf899d895",
+    "transcript-intercept-d3": "38cb62b3788d2c6b1ce0e2c87adcaa08e26f95a50f1b2171bc6c229331038526",
+    "transcript-intercept-d4": "60635753e3b342cbe71b7f7bc591025f63c21c98dd8a431f986bd6c4d79664fe",
+    "transcript-intercept-d5": "880a1e96331d15f3f7dc8e61fb028c7fb3295448dbcaf356dccf1888abdcedfe",
+    "transcript-intercept-d6": "cc00aded123477cea7c18cc31b6e97095813201cbaac630df85ead34814abfbf",
+    "transcript-intercept-d7": "cc1cea235bfd3f8d267c4a678bdd9b4d1b5b0f14e10a8b19287951c905320d33",
 }
 
 

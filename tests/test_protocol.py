@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import GENERIC_STAGE_LABELS
+from helpers import GENERIC_STAGE_LABELS, philox
 from qkdlab import protocol
 from qkdlab.adversary import AdversaryStrategy, GaoAttack, InterceptResend
 from qkdlab.protocol import (
@@ -72,15 +72,22 @@ class TestConfig:
 
 
 class TestRng:
+    @staticmethod
+    def draws(rng) -> list[int]:
+        return [rng.randrange(100) for _ in range(8)]
+
     def test_seed_determinism(self):
-        a = make_rng(5, stream=2).integers(0, 100, 8)
-        b = make_rng(5, stream=2).integers(0, 100, 8)
-        assert list(a) == list(b)
+        assert self.draws(make_rng(5, stream=2)) == self.draws(make_rng(5, stream=2))
 
     def test_streams_decorrelated(self):
-        a = make_rng(5, stream=1).integers(0, 100, 8)
-        b = make_rng(5, stream=2).integers(0, 100, 8)
-        assert list(a) != list(b)
+        assert self.draws(make_rng(5, stream=1)) != self.draws(make_rng(5, stream=2))
+
+    @pytest.mark.parametrize(
+        "a, b", [((1, 23), (12, 3)), ((0, 2**64 - 1), (1, 0))], ids=["digits", "word-boundary"]
+    )
+    def test_seed_and_stream_do_not_alias(self, a, b):
+        # seed and stream are packed into one integer, 64 bits each
+        assert make_rng(*a).random() != make_rng(*b).random()
 
     @pytest.mark.parametrize(
         "seed, stream, name, value",
@@ -113,23 +120,23 @@ class TestRng:
 
     def test_largest_seed_and_stream_accepted(self):
         top = 2**64 - 1
-        assert list(make_rng(top, top).integers(0, 100, 8)) != list(make_rng(0).integers(0, 100, 8))
+        assert self.draws(make_rng(top, top)) != self.draws(make_rng(0))
 
 
 class TestHonestRound:
     def test_single_round_recovers_dit_and_bell(self):
-        rng = make_rng(0)
+        rng = philox(0)
         state, transcript = run_round(bell_state(3), 1, 1, AdversaryStrategy(), rng)
         assert transcript.bob_outcome == 1
         assert state_equals(state, bell_state(3))
 
     def test_stage_labels(self):
-        rng = make_rng(0)
+        rng = philox(0)
         _, transcript = run_round(bell_state(3), 1, 2, AdversaryStrategy(), rng)
         assert list(transcript.stage_labels) == list(GENERIC_STAGE_LABELS)
 
     def test_transit_is_maximally_mixed(self):
-        rng = make_rng(0)
+        rng = philox(0)
         for dim in (2, 3, 5):
             state = bell_state(dim)
             for round_index, dit in enumerate((1, 0, dim - 1), start=1):
@@ -151,7 +158,7 @@ class TestHonestSession:
 
     @pytest.mark.parametrize("dim", (2, 3, 4, 5, 6, 7))
     def test_random_long_keys(self, dim):
-        rng = make_rng(77, stream=dim)
+        rng = philox(77, stream=dim)
         for _ in range(3):
             key = tuple(int(x) for x in rng.integers(0, dim, 12))
             config = ProtocolConfig(dim=dim, num_rounds=12, key=key, rng_seed=2)
@@ -223,7 +230,7 @@ class TestExactZeroError:
     @pytest.mark.parametrize("dim", range(2, 9))
     @pytest.mark.parametrize("attacked", [False, True], ids=["honest", "gao"])
     def test_decode_is_point_mass_on_key_dit(self, dim, attacked):
-        key = tuple(int(x) for x in make_rng(dim, stream=1).integers(0, dim, 9))
+        key = tuple(int(x) for x in philox(dim, stream=1).integers(0, dim, 9))
         config = ProtocolConfig(dim=dim, num_rounds=9, key=key, rng_seed=dim)
         session = run_session(config, GaoAttack() if attacked else None)
         for round_transcript, dit in zip(session.rounds, key):
@@ -268,7 +275,7 @@ class TestInterceptSession:
     def test_composite_dim_stages_stay_normalized(self, dim, rounds):
         # each collapse must find a branch weight that is a power of d
         for seed in range(3):
-            key = tuple(int(x) for x in make_rng(seed, stream=dim).integers(0, dim, 9))
+            key = tuple(int(x) for x in philox(seed, stream=dim).integers(0, dim, 9))
             config = ProtocolConfig(dim=dim, num_rounds=9, key=key, rng_seed=seed)
             session = run_session(config, InterceptResend(rounds))
             for round_transcript in session.rounds:

@@ -12,6 +12,7 @@ from helpers import (
     dense_controlled_shift,
     dense_hadamard,
     is_hermitian,
+    philox,
     random_pure_state,
     random_ring_state,
     reference_hadamard,
@@ -22,7 +23,6 @@ from qkdlab.closed_forms import eavesdrop_stage_states
 from qkdlab.protocol import (
     ProtocolConfig,
     announce_subsequence,
-    make_rng,
     run_session,
     transcript_to_json_dict,
 )
@@ -189,7 +189,7 @@ class TestInsertWire:
         json.dumps(st.to_json_dict())
 
     def test_matches_tensor_then_reorder(self):
-        rng = make_rng(40)
+        rng = philox(40)
         for _ in range(20):
             dim = int(rng.integers(2, 7))
             st = random_pure_state(rng, dim, ("x", "y"))
@@ -220,7 +220,7 @@ class TestControlledShift:
         assert set(shifted.terms) == {(2, 0)}
 
     def test_right_then_left_is_identity(self):
-        rng = make_rng(11)
+        rng = philox(11)
         for _ in range(30):
             dim = int(rng.integers(2, 6))
             st = random_pure_state(rng, dim, ("c", "t", "u"))
@@ -239,7 +239,7 @@ class TestControlledShift:
             bell.apply_controlled_shift("a", "b", "sideways")
 
     def test_matches_dense_oracle(self):
-        rng = make_rng(12)
+        rng = philox(12)
         for _ in range(25):
             dim = int(rng.integers(2, 6))
             st = random_pure_state(rng, dim, ("c", "t"))
@@ -274,7 +274,7 @@ class TestHadamard:
         assert state_equals(out, STAGES3["psi_2_0"])
 
     def test_inverse_restores_state(self):
-        rng = make_rng(13)
+        rng = philox(13)
         for dim in (2, 3, 5):
             for _ in range(10):
                 st = random_pure_state(rng, dim, ("x", "y"))
@@ -285,7 +285,7 @@ class TestHadamard:
                 assert state_equals(back, st)
 
     def test_matches_dense_oracle(self):
-        rng = make_rng(14)
+        rng = philox(14)
         for _ in range(25):
             dim = int(rng.integers(2, 6))
             st = random_pure_state(rng, dim, ("x", "y"))
@@ -295,7 +295,7 @@ class TestHadamard:
             assert_vectors_close(state_vector(got), expected)
 
     def test_norm_preserved(self):
-        rng = make_rng(15)
+        rng = philox(15)
         for dim in (2, 3, 5):
             for _ in range(10):
                 st = random_pure_state(rng, dim, ("x", "y"))
@@ -321,7 +321,7 @@ class TestHadamard:
 
     @staticmethod
     def check_against_reference(dim, mode):
-        rng = make_rng(100 + dim)
+        rng = philox(100 + dim)
         wires = ("x", "y", "z")
         folded = 0
         for _ in range(6):
@@ -440,7 +440,7 @@ class TestHadamard:
         # a 13-round attacked session at d=11: entries of up to 2 * 11**3 terms;
         # an entry's size is its input's term count plus its output's
         dim, rounds = 11, 13
-        key = tuple(int(x) for x in make_rng(113, stream=1).integers(0, dim, rounds))
+        key = tuple(int(x) for x in philox(113, stream=1).integers(0, dim, rounds))
         _hadamard_gate_memo.clear()
         run_session(ProtocolConfig(dim, rounds, key, rng_seed=113), GaoAttack())
         sizes = []
@@ -454,7 +454,7 @@ class TestHadamard:
         # with room for a few d=5 entries only, the memo empties when full and
         # every transcript is the one the full-size memo gives
         dim, rounds = 5, 13
-        key = tuple(int(x) for x in make_rng(55, stream=1).integers(0, dim, rounds))
+        key = tuple(int(x) for x in philox(55, stream=1).integers(0, dim, rounds))
         config = ProtocolConfig(dim, rounds, key, rng_seed=55)
         want = transcript_to_json_dict(run_session(config, GaoAttack()))
         small = _GateMemo(2 * dim**3 + 3 * dim**2)
@@ -481,7 +481,7 @@ class TestHadamard:
         dim, rounds = 7, 13
         _hadamard_gate_memo.clear()
         for q1 in range(dim):
-            rest = make_rng(700 + q1, stream=1).integers(0, dim, rounds - 1)
+            rest = philox(700 + q1, stream=1).integers(0, dim, rounds - 1)
             key = (q1, *(int(x) for x in rest))
             run_session(ProtocolConfig(dim, rounds, key, rng_seed=700 + q1), GaoAttack())
         assert _hadamard_gate_memo.hits > 0
@@ -493,7 +493,7 @@ class TestHadamard:
         # 101-round session meets no gate input that a 13-round one did not
         misses = []
         for rounds in (13, 101):
-            key = tuple(int(x) for x in make_rng(rounds, stream=1).integers(0, 5, rounds))
+            key = tuple(int(x) for x in philox(rounds, stream=1).integers(0, 5, rounds))
             _hadamard_gate_memo.clear()
             run_session(ProtocolConfig(5, rounds, key, rng_seed=rounds), GaoAttack())
             misses.append(_hadamard_gate_memo.misses)
@@ -503,7 +503,7 @@ class TestHadamard:
         # 13 rounds at d=11 through the memo: Bob reads the key, and Eve's odd
         # reads obey the sign law r_m = q_m + (-1)**((m - 3) / 2) * q_1
         dim, rounds = 11, 13
-        key = tuple(int(x) for x in make_rng(311, stream=1).integers(0, dim, rounds))
+        key = tuple(int(x) for x in philox(311, stream=1).integers(0, dim, rounds))
         session = run_session(ProtocolConfig(dim, rounds, key, rng_seed=311), GaoAttack())
         assert session.bob_outcomes == key
         got = [(o.round_index, o.value, o.sign) for o in session.eve_observations]
@@ -565,7 +565,7 @@ class TestMeasurement:
         assert STAGES3["Phi_2"].deterministic_outcome("k") is None
 
     def test_distribution_sums_to_one(self):
-        rng = make_rng(16)
+        rng = philox(16)
         for _ in range(20):
             dim = int(rng.integers(2, 6))
             st = random_pure_state(rng, dim, ("x", "y"))
@@ -573,7 +573,7 @@ class TestMeasurement:
             assert sum(dist.values()) == 1
 
     def test_sampled_outcome_matches_projection(self):
-        rng = make_rng(17)
+        rng = philox(17)
         st = bell_state(3)
         outcome, collapsed, prob = st.measure_computational("a", rng)
         assert prob == Fraction(1, 3)
@@ -623,14 +623,14 @@ class TestMeasurement:
             basis_state(3, [("x", 0)]).project("x", 2)
 
     def test_sampling_is_seed_deterministic(self):
-        a = bell_state(5).measure_computational("a", make_rng(21))[0]
-        b = bell_state(5).measure_computational("a", make_rng(21))[0]
+        a = bell_state(5).measure_computational("a", philox(21))[0]
+        b = bell_state(5).measure_computational("a", philox(21))[0]
         assert a == b
 
     @pytest.mark.parametrize(
         "collapse",
         [
-            lambda st: st.measure_computational("a", make_rng(22))[1],
+            lambda st: st.measure_computational("a", philox(22))[1],
             lambda st: st.project("a", 3),
         ],
         ids=["measure_computational", "project"],
@@ -673,7 +673,7 @@ class TestMeasurement:
 
         monkeypatch.setattr(CycloElem, "__init__", counted_init)
         monkeypatch.setattr(CycloElem, "conj", counted_conj)
-        outcome, collapsed, prob = st.measure_computational("a", make_rng(23))
+        outcome, collapsed, prob = st.measure_computational("a", philox(23))
         assert len(built) == 5  # one branch per value of wire a
         assert conj_calls == []
         assert prob == Fraction(1, 5)
@@ -712,7 +712,7 @@ class TestBranches:
         ids=["honest", "intercept", "gao"],
     )
     def test_agrees_with_distribution_and_project(self, dim, make_adversary):
-        key = tuple(int(x) for x in make_rng(dim, stream=2).integers(0, dim, 4))
+        key = tuple(int(x) for x in philox(dim, stream=2).integers(0, dim, 4))
         session = run_session(ProtocolConfig(dim, 4, key, rng_seed=dim), make_adversary())
         states = [s for r in session.rounds for _, s in r.stages] + [session.final_shared_state]
         for state in states:
@@ -767,7 +767,7 @@ def test_session_states_pass_the_public_checks(dim, make_adversary):
     # gates, collapses and drop_wire skip PureState's checks because they
     # derive their terms from a valid state; every state a session makes
     # must still pass them unchanged
-    key = tuple(int(x) for x in make_rng(dim, stream=1).integers(0, dim, 4))
+    key = tuple(int(x) for x in philox(dim, stream=1).integers(0, dim, 4))
     session = run_session(ProtocolConfig(dim, 4, key, rng_seed=dim), make_adversary())
     states = [s for r in session.rounds for _, s in r.stages] + [session.final_shared_state]
     for state in states:
@@ -848,7 +848,7 @@ class TestReducedDensity:
         assert bell_state(3).reduced_density("a") == DensityMatrixSlice.maximally_mixed(3)
 
     def test_hermitian(self):
-        rng = make_rng(18)
+        rng = philox(18)
         st = random_pure_state(rng, 3, ("x", "y"))
         rho = st.reduced_density("x")
         assert is_hermitian(rho)
@@ -946,7 +946,7 @@ class TestStateEquals:
 
 class TestSerialization:
     def test_round_trip(self):
-        rng = make_rng(19)
+        rng = philox(19)
         for _ in range(10):
             dim = int(rng.integers(2, 6))
             st = random_pure_state(rng, dim, ("x", "y"))
@@ -1000,4 +1000,15 @@ class TestSerialization:
         doc.update(change)
         doc = {k: v for k, v in doc.items() if v is not None}
         with pytest.raises(ValueError, match=field):
+            PureState.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "coeff",
+        ["1_0", "0.5", "1e0", " 1", "1/2 ", "+1", "01", "-0", "2/4", "1/1", "١"],
+    )
+    def test_coefficient_that_to_json_never_writes_is_refused(self, coeff):
+        # Fraction() alone reads each of these as a number, "1_0" as 10
+        doc = {"dim": 3, "wires": ["k"], "scale_exp": 0,
+               "terms": [{"basis": [1], "coeffs": [coeff, "0", "0"]}]}
+        with pytest.raises(ValueError, match=rf"'coeffs' holds {re.escape(repr(coeff))}"):
             PureState.from_json_dict(doc)
