@@ -77,12 +77,14 @@ def compute_metrics(session: SessionTranscript, true_key) -> SessionMetrics:
 # -- exact enumeration -----------------------------------------------------------
 
 
-def exact_outcomes(dim: int, key, strategy: AdversaryStrategy) -> dict[tuple, Fraction]:
+def exact_outcomes(dim: int, key, strategy: AdversaryStrategy | None) -> dict[tuple, Fraction]:
     """Exact probability of every history of a session from a fresh shared pair.
 
     A history holds one (adversary value, Bob outcome) pair per round.
-    key and strategy are refused as run_session and ProtocolConfig refuse them.
+    strategy None is the honest channel, as in run_session.  key and
+    strategy are refused as run_session and ProtocolConfig refuse them.
     """
+    strategy = strategy if strategy is not None else AdversaryStrategy()
     config = ProtocolConfig(dim, len(key), key)
     check_attack_rounds(strategy, config.num_rounds)
     walk = [((), bell_state(config.dim), Fraction(1))]

@@ -11,14 +11,16 @@ Every subcommand takes --d and --seed (default 0).  run and verify-paper
 simulate one key, given by --key or drawn from --key-seed; experiment
 draws a fresh key for every trial and takes neither.
 
-Exit codes: 0 success, 1 runtime error, 2 detection triggered,
-3 verification mismatch, 64 usage error.
+Exit codes: 0 success, 1 runtime error or a closed stdout pipe (which
+prints nothing), 2 detection triggered, 3 verification mismatch,
+64 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .adversary import GaoAttack, InterceptResend
@@ -276,7 +278,17 @@ def main(argv=None) -> int:
     try:
         # args.parser is the subcommand's own, so the usage errors a handler
         # finds read "qkdlab run: error: ..." like the ones argparse finds
-        return args.handler(args, args.parser)
+        code = args.handler(args, args.parser)
+        # a closed stdout pipe must raise here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone (`| head`): exit quietly, with
+        # stdout on devnull so that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

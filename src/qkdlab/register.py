@@ -46,19 +46,19 @@ order would pay for its code: no benchmark workload fills the memo
 d=29 on a session's 14 distinct inputs do not fit at all, so in their
 period-4 cycle least-recently-used order too drops the entry needed next.
 
-Born weights (|amplitude|**2 summed per value of a wire) are computed in
-one place, which norm_squared, measurement_distribution, project,
-branches and the sampling measurement share.  Like the Hadamard, it
-works on plain rows: each term whose amplitude is sum_i c_i zeta**i
-adds c_i * c_j into row[(i - j) % d] of its branch, and each branch's
-row becomes one CycloElem, whose constructor reduces it; a branch whose
-weight is not rational raises ValueError.  A collapse moves the branch
-weight's powers of d into scale_exp and builds one state; it raises
-ValueError when the weight is no power of d.  Every Born weight on the
-protocol's stabilizer states is such a power, so no protocol path
-reaches that error.  branches collapses every outcome from one weights
-pass; the sampling measurement draws one outcome from the same weights
-and collapses only that branch.
+Born weights (|amplitude|**2 summed over some terms) come from _weight,
+which works on plain rows like the Hadamard: each term whose amplitude is
+sum_i c_i zeta**i adds c_i * c_j into row[(i - j) % d], and the row
+becomes one CycloElem, whose constructor reduces it; a weight that is not
+rational raises ValueError.  A measurement splits the state once:
+_outcomes groups the terms by the wire's value in one pass and weighs
+each branch once, and measurement_distribution, branches and the
+sampling measurement all read it; the sampler draws one outcome and
+collapses the terms it already holds for it.  norm_squared and project
+weigh only their own terms.  A collapse moves the branch weight's powers
+of d into scale_exp and builds one state; it raises ValueError when the
+weight is no power of d.  Every Born weight on the protocol's stabilizer
+states is such a power, so no protocol path reaches that error.
 
 insert_wire adjoins a wire in a basis state by rebuilding the basis
 tuples, with no ring arithmetic.  The public constructor checks every
@@ -345,63 +345,55 @@ class PureState:
 
     # -- measurement ---------------------------------------------------------
 
-    def _branch_weights(self, idx: int | None, terms=None) -> dict:
-        """Unnormalized Born weight of each value wire idx takes among terms.
+    def _weight(self, terms: dict) -> Fraction:
+        """Unnormalized Born weight of terms, a dict of this state's terms.
 
-        terms defaults to all terms; idx None puts them in one branch, keyed
-        None.  Each branch sums its terms' c_i * c_j into one plain row at
-        index (i - j) % d and builds one CycloElem from it; rational_value
-        raises ValueError when that weight is not rational.
+        Each term adds its c_i * c_j into one plain row at index (i - j) % d,
+        and the row becomes one CycloElem; rational_value raises ValueError
+        when that weight is not rational.
         """
         dim = self.dim
-        rows: dict = {}
-        for basis, amp in (self.terms if terms is None else terms).items():
-            v = None if idx is None else basis[idx]
-            row = rows.get(v)
-            if row is None:
-                row = rows[v] = [0] * dim
+        row = [0] * dim
+        for amp in terms.values():
             # |sum_i c_i zeta**i|**2 = sum_{i,j} c_i c_j zeta**(i-j)
             nonzero = [(i, c) for i, c in enumerate(amp.coeffs) if c]
             for i, a in nonzero:
                 for j, b in nonzero:
                     row[(i - j) % dim] += a * b
-        weight = Fraction(1, dim**self.scale_exp)
-        return {v: weight * rational_value(CycloElem(dim, row)) for v, row in rows.items()}
+        return Fraction(1, dim**self.scale_exp) * rational_value(CycloElem(dim, row))
 
-    def _outcome_weights(self, idx: int) -> tuple[list, Fraction]:
-        """(outcome, Born weight) pairs of wire idx in outcome order, and their total."""
-        weights = self._branch_weights(idx)
-        if not weights:
-            raise ValueError("cannot measure a zero state")
-        return sorted(weights.items()), sum(weights.values())
+    def _outcomes(self, idx: int) -> tuple[list, Fraction]:
+        """(value, its terms, their Born weight) per value of wire idx, in value order, and the total.
 
-    def measurement_distribution(self, wire: Wire) -> dict[int, Fraction]:
-        """Exact Born probabilities for a computational measurement of wire."""
-        weights, total = self._outcome_weights(self.wire_index(wire))
-        return {v: w / total for v, w in weights}
-
-    def branches(self, wire: Wire) -> list[tuple[int, PureState, Fraction]]:
-        """Every (outcome, collapsed renormalized state, exact probability), in outcome order.
-
-        One Born-weight pass serves every branch; each collapse reuses its
-        branch's weight.
+        One pass splits the terms by value; each branch is weighed once.
         """
-        idx = self.wire_index(wire)
-        weights, total = self._outcome_weights(idx)
         split: dict[int, dict] = {}
         for basis, amp in self.terms.items():
             split.setdefault(basis[idx], {})[basis] = amp
-        return [(v, self._collapse(split[v], w), w / total) for v, w in weights]
+        if not split:
+            raise ValueError("cannot measure a zero state")
+        outcomes = [(v, split[v], self._weight(split[v])) for v in sorted(split)]
+        return outcomes, sum(w for _, _, w in outcomes)
+
+    def measurement_distribution(self, wire: Wire) -> dict[int, Fraction]:
+        """Exact Born probabilities for a computational measurement of wire."""
+        outcomes, total = self._outcomes(self.wire_index(wire))
+        return {v: w / total for v, _, w in outcomes}
+
+    def branches(self, wire: Wire) -> list[tuple[int, PureState, Fraction]]:
+        """Every (outcome, collapsed renormalized state, exact probability), in outcome order."""
+        outcomes, total = self._outcomes(self.wire_index(wire))
+        return [(v, self._collapse(branch, w), w / total) for v, branch, w in outcomes]
 
     def project(self, wire: Wire, outcome: int) -> PureState:
-        """Collapse onto one outcome and renormalize."""
+        """Collapse onto one outcome and renormalize; only that branch is weighed."""
         idx = self.wire_index(wire)
         if not 0 <= outcome < self.dim:
             raise ValueError(f"outcome {outcome} out of range for dimension {self.dim}")
         branch = {b: a for b, a in self.terms.items() if b[idx] == outcome}
         if not branch:
             raise ValueError(f"outcome {outcome} has zero amplitude on wire {wire!r}")
-        return self._collapse(branch, self._branch_weights(None, branch)[None])
+        return self._collapse(branch, self._weight(branch))
 
     def _collapse(self, branch: dict, weight: Fraction) -> PureState:
         """The branch terms renormalized by their positive Born weight d**j.
@@ -411,7 +403,7 @@ class PureState:
         """
         dim, scale_exp = self.dim, self.scale_exp
         num, den = weight.numerator, weight.denominator
-        while num % dim == 0:
+        while num and num % dim == 0:  # a zero weight is refused below
             num //= dim
             scale_exp += 1
         while den % dim == 0:
@@ -427,14 +419,12 @@ class PureState:
         Returns the branch of branches(wire) that the draw picks, and
         collapses only that branch.
         """
-        idx = self.wire_index(wire)
-        weights, total = self._outcome_weights(idx)
+        outcomes, total = self._outcomes(self.wire_index(wire))
         u = Fraction(rng.random()) * total  # u < total: the loop always breaks
-        for outcome, w in weights:
+        for outcome, branch, w in outcomes:
             if u < w:
                 break
             u -= w
-        branch = {b: a for b, a in self.terms.items() if b[idx] == outcome}
         return outcome, self._collapse(branch, w), w / total
 
     def deterministic_outcome(self, wire: Wire) -> int | None:
@@ -459,7 +449,7 @@ class PureState:
     # -- aggregates ----------------------------------------------------------
 
     def norm_squared(self) -> Fraction:
-        return sum(self._branch_weights(None).values(), Fraction(0))
+        return self._weight(self.terms)
 
     def reduced_density(self, wire: Wire) -> DensityMatrixSlice:
         """Trace out everything but one wire."""
@@ -508,7 +498,16 @@ class PureState:
             coeffs = _json_field(entry, "coeffs", list)
             if len(coeffs) != dim:
                 raise ValueError(f"state JSON field 'coeffs' has {len(coeffs)} entries, not {dim}")
-            terms[basis] = CycloElem(dim, [_json_fraction(c, "coeffs") for c in coeffs])
+            values = [_json_fraction(c, "coeffs") for c in coeffs]
+            amp = CycloElem(dim, values)
+            # to_json_dict writes only nonzero canonical amplitudes; any other
+            # vector the constructor would reduce, or drop as zero, unasked
+            if amp.coeffs != tuple(values) or not any(values):
+                raise ValueError(
+                    f"state JSON field 'coeffs' holds {coeffs}, which is no nonzero "
+                    f"amplitude reduced modulo Phi_{dim}"
+                )
+            terms[basis] = amp
         wires = _json_field(data, "wires", list, str)
         # __init__ checks scale_exp's type along with its range
         return cls(dim, wires, _json_field(data, "scale_exp"), terms)
@@ -553,15 +552,17 @@ def _json_field(data, name: str, kind: type | None = None, item: type | None = N
     return value
 
 
-def _json_fraction(text, name: str) -> Fraction:
-    """The Fraction whose str() is text, the only form to_json_dict writes.
+def _json_fraction(text, name: str) -> int | Fraction:
+    """The int or Fraction whose str() is text, the only form to_json_dict writes.
 
     Fraction() alone also reads "1_0", "0.5", " 1", "+1", "2/4" and
-    non-ASCII digits; a string that does not round-trip is refused.
+    non-ASCII digits; a string that does not round-trip is refused.  A
+    plain integer comes back as an int, so integer amplitudes take the
+    CycloElem constructor's all-int path.
     """
     try:
         if type(text) is str:
-            value = Fraction(text) if "/" in text else Fraction(int(text))
+            value = Fraction(text) if "/" in text else int(text)
             if str(value) == text:
                 return value
     except (ValueError, ZeroDivisionError):

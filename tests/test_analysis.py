@@ -273,6 +273,12 @@ class TestExactOutcomes:
         walk = exact_outcomes(3, (0, 1), SplitChannel())
         assert walk == {((None, 0), (None, 1)): 1}
 
+    @pytest.mark.parametrize("dim", range(2, 6))
+    def test_none_is_the_honest_channel(self, dim):
+        # as in run_session and monte_carlo
+        key = _key(dim, 3)
+        assert exact_outcomes(dim, key, None) == exact_outcomes(dim, key, AdversaryStrategy())
+
     @pytest.mark.parametrize("dim", range(2, 9))
     @pytest.mark.parametrize("strategy", [AdversaryStrategy(), GaoAttack()], ids=["honest", "gao"])
     def test_deterministic_strategy_walks_one_branch(self, dim, strategy):

@@ -18,6 +18,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def subprocess_env() -> dict:
+    """This environment, with the qkdlab under test first on PYTHONPATH."""
+    src = str(Path(qkdlab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
 class TestRun:
     def test_gao_paper_key(self, capsys):
         code, out, _ = run_cli(
@@ -488,12 +495,9 @@ class TestModuleEntry:
         ids=["run", "unknown-flag"],
     )
     def test_python_dash_m_exit_code(self, tmp_path, argv, code):
-        src = str(Path(qkdlab.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         result = subprocess.run(
             [sys.executable, "-m", "qkdlab", *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True,
+            cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True,
         )
         assert result.returncode == code, result.stderr
 
@@ -515,10 +519,36 @@ for argv in (
 
 def test_runs_without_numpy(tmp_path):
     # numpy is a test dependency only; the package needs the standard library alone
-    src = str(Path(qkdlab.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     result = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-c", NO_NUMPY], cwd=tmp_path, env=subprocess_env(),
+        capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--attack", "intercept", "--rounds", "5"],
+        ["verify-paper", "--d", "5"],
+        ["experiment", "--attack", "intercept", "--trials", "50"],
+    ],
+    ids=["run", "verify-paper", "experiment"],
+)
+def test_closed_stdout_pipe_exits_quietly(tmp_path, argv, unbuffered):
+    # a reader that has gone (`| head`) is no runtime error: nothing on
+    # stderr and exit 1.  It runs in a subprocess, since closing fd 1 in
+    # process would close pytest's own output.  Buffered stdout fails in the
+    # flush at exit unless main flushes first; unbuffered fails in print.
+    env = subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qkdlab", *argv],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # before the interpreter has even started qkdlab
+    _, err = proc.communicate()
+    assert (proc.returncode, err.decode()) == (1, "")

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -599,6 +600,12 @@ class TestMeasurement:
             st.project("x", 1)
         assert state_equals(st.project("x", 0), basis_state(3, [("x", 0)]))
 
+    def test_collapse_refuses_zero_weight(self):
+        # no nonzero branch weighs 0, but a wrong weight must raise, not loop
+        st = bell_state(3)
+        with pytest.raises(ValueError, match="branch weight 0 is no power of d=3"):
+            st._collapse(dict(st.terms), Fraction(0))
+
     @pytest.mark.parametrize(
         "collapse",
         [
@@ -726,16 +733,24 @@ class TestBranches:
                     assert type(p) is Fraction and p == q
 
     def test_one_born_weight_pass(self, monkeypatch):
-        calls = []
-        original = PureState._branch_weights
+        # one split of the state, and each term weighed once
+        splits, weighed = [], []
+        original_outcomes, original_weight = PureState._outcomes, PureState._weight
 
-        def counted(self, *args):
-            calls.append(args)
-            return original(self, *args)
+        def counted_outcomes(self, idx):
+            splits.append(idx)
+            return original_outcomes(self, idx)
 
-        monkeypatch.setattr(PureState, "_branch_weights", counted)
-        branches = bell_state(5).branches("a")
-        assert len(calls) == 1
+        def counted_weight(self, terms):
+            weighed.extend(terms)
+            return original_weight(self, terms)
+
+        monkeypatch.setattr(PureState, "_outcomes", counted_outcomes)
+        monkeypatch.setattr(PureState, "_weight", counted_weight)
+        state = bell_state(5)
+        branches = state.branches("a")
+        assert splits == [0]
+        assert sorted(weighed) == sorted(state.terms)
         assert [(v, p) for v, _, p in branches] == [(v, Fraction(1, 5)) for v in range(5)]
         assert all(collapsed.terms.keys() == {(v, v)} for v, collapsed, _ in branches)
 
@@ -746,16 +761,69 @@ class TestBornWeightRows:
     def test_rows_match_ring_sum_of_squares(self, data):
         state = data.draw(ring_states())
         idx = data.draw(strategies.sampled_from([None, *range(len(state.wires))]))
-        sums = {}
+        # idx None weighs every term as one branch, as norm_squared does
+        sums = {None: CycloElem.zero(state.dim)} if idx is None else {}
         for basis, amp in state.terms.items():
             v = None if idx is None else basis[idx]
             sums[v] = sums.get(v, CycloElem.zero(state.dim)) + amp * amp.conj()
+
+        def weights():
+            if idx is None:
+                return {None: state._weight(state.terms)}
+            outcomes, total = state._outcomes(idx)
+            assert [v for v, _, _ in outcomes] == sorted(sums)
+            assert all(b[idx] == v for v, branch, _ in outcomes for b in branch)
+            assert total == sum(w for _, _, w in outcomes)
+            return {v: w for v, _, w in outcomes}
+
+        if not sums:
+            with pytest.raises(ValueError, match="zero state"):
+                weights()
+            return
         if any(any(s.coeffs[1:]) for s in sums.values()):
             with pytest.raises(ValueError, match="not rational"):
-                state._branch_weights(idx)
+                weights()
             return
         scale = Fraction(1, state.dim**state.scale_exp)
-        assert state._branch_weights(idx) == {v: scale * rational_value(s) for v, s in sums.items()}
+        assert weights() == {v: scale * rational_value(s) for v, s in sums.items()}
+
+
+class TestDenseBornOracle:
+    """Every measurement of every stage state against the dense vector's Born rule."""
+
+    @pytest.mark.parametrize("dim", range(2, 6))
+    @pytest.mark.parametrize(
+        "make_adversary",
+        [lambda: None, GaoAttack, InterceptResend, lambda: InterceptResend({1})],
+        ids=["honest", "gao", "intercept", "intercept-round-1"],
+    )
+    def test_measurements_match_dense_born_rule(self, dim, make_adversary):
+        key = tuple(int(x) for x in philox(dim, stream=3).integers(0, dim, 4))
+        session = run_session(ProtocolConfig(dim, 4, key, rng_seed=dim), make_adversary())
+        states = [s for r in session.rounds for _, s in r.stages] + [session.final_shared_state]
+        rng = random.Random(dim)
+        for state in states:
+            vec = state_vector(state).reshape((dim,) * len(state.wires))
+            for idx, wire in enumerate(state.wires):
+                moved = np.moveaxis(vec, idx, 0)
+                marginal = np.sum(np.abs(moved.reshape(dim, -1)) ** 2, axis=1)
+                marginal /= marginal.sum()
+                dist = state.measurement_distribution(wire)
+                got = np.array([float(dist.get(v, 0)) for v in range(dim)])
+                assert np.max(np.abs(got - marginal)) <= 1e-12
+                branches = state.branches(wire)
+                assert [v for v, _, _ in branches] == sorted(dist)
+                for v, collapsed, p in branches:
+                    assert p == dist[v]
+                    projected = np.zeros_like(moved)
+                    projected[v] = moved[v]
+                    projected = np.moveaxis(projected, 0, idx).reshape(-1)
+                    projected /= np.linalg.norm(projected)
+                    assert_vectors_close(state_vector(collapsed), projected)
+                outcome, collapsed, p = state.measure_computational(wire, rng)
+                (match,) = [b for b in branches if b[0] == outcome]
+                assert p == match[2]
+                assert first_difference(collapsed, match[1]) is None
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
@@ -1001,6 +1069,35 @@ class TestSerialization:
         doc = {k: v for k, v in doc.items() if v is not None}
         with pytest.raises(ValueError, match=field):
             PureState.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "dim, coeffs",
+        [
+            (3, ["0", "0", "1"]),  # zeta**2, which reduces to -1 - zeta
+            (4, ["0", "0", "1", "0"]),  # zeta**2, which reduces to -1
+            (3, ["1", "1", "1"]),  # 1 + zeta + zeta**2, which is 0
+            (3, ["0", "0", "0"]),
+        ],
+        ids=["d3-unreduced", "d4-unreduced", "d3-reduces-to-zero", "d3-zero"],
+    )
+    def test_amplitude_that_to_json_never_writes_is_refused(self, dim, coeffs):
+        # the constructor would rewrite the first two and drop the last two
+        doc = {"dim": dim, "wires": ["k"], "scale_exp": 0,
+               "terms": [{"basis": [0], "coeffs": ["1"] + ["0"] * (dim - 1)},
+                         {"basis": [1], "coeffs": coeffs}]}
+        with pytest.raises(ValueError, match=re.escape(f"'coeffs' holds {coeffs}")):
+            PureState.from_json_dict(doc)
+
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_session_stage_states_reload_as_written(self, dim):
+        key = tuple((3 * i + 1) % dim for i in range(4))
+        for adversary in (None, InterceptResend(), GaoAttack()):
+            session = run_session(ProtocolConfig(dim, 4, key, rng_seed=dim), adversary)
+            for state in [s for r in session.rounds for _, s in r.stages]:
+                doc = state.to_json_dict()
+                clone = PureState.from_json_dict(doc)
+                assert state_equals(clone, state)
+                assert clone.to_json_dict() == doc
 
     @pytest.mark.parametrize(
         "coeff",
