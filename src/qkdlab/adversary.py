@@ -40,13 +40,11 @@ def observation_sign(round_index: int) -> int:
     """Sign of the unknown-dit offset in an odd extraction round.
 
     Rounds 3, 7, 11, ... observe (key dit + first dit); rounds 5, 9, 13, ...
-    observe (key dit - first dit).
+    observe (key dit - first dit).  Rounds below 3 read nothing: -1 % 4 is
+    3, so the residue alone would give round -1 a sign.
     """
-    r = round_index % 4
-    if r == 3:
-        return 1
-    if r == 1 and round_index >= 5:
-        return -1
+    if round_index >= 3 and round_index % 2:
+        return 1 if round_index % 4 == 3 else -1
     raise ValueError(f"round {round_index} is not an extraction round")
 
 

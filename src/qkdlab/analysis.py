@@ -131,9 +131,12 @@ def exact_next_round_error(dim: int, attack_round: int, key=None) -> Fraction:
 def exact_intercept_observation_distribution(
     dim: int, attack_round: int, key
 ) -> dict[int, Fraction]:
-    """Exact distribution of the value an interceptor reads in transit."""
+    """Exact distribution of the value an interceptor reads in transit.
+
+    key None stands for all zeros, as in exact_next_round_error.
+    """
     dist: dict[int, Fraction] = {}
-    for history, p in _intercept_walk(dim, attack_round, tuple(key), 0)[1].items():
+    for history, p in _intercept_walk(dim, attack_round, key, 0)[1].items():
         dist[history[-1][0]] = dist.get(history[-1][0], 0) + p
     return dict(sorted(dist.items()))
 

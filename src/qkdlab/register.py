@@ -50,15 +50,19 @@ Born weights (|amplitude|**2 summed over some terms) come from _weight,
 which works on plain rows like the Hadamard: each term whose amplitude is
 sum_i c_i zeta**i adds c_i * c_j into row[(i - j) % d], and the row
 becomes one CycloElem, whose constructor reduces it; a weight that is not
-rational raises ValueError.  A measurement splits the state once:
+rational raises ValueError.  Weights are in the state's stored units,
+without the factor d**-scale_exp: every probability is a ratio of
+weights, so the factor cancels.  A measurement splits the state once:
 _outcomes groups the terms by the wire's value in one pass and weighs
 each branch once, and measurement_distribution, branches and the
 sampling measurement all read it; the sampler draws one outcome and
 collapses the terms it already holds for it.  norm_squared and project
-weigh only their own terms.  A collapse moves the branch weight's powers
-of d into scale_exp and builds one state; it raises ValueError when the
-weight is no power of d.  Every Born weight on the protocol's stabilizer
-states is such a power, so no protocol path reaches that error.
+weigh only their own terms.  A collapse sets scale_exp to j when the
+branch's stored weight is d**j and builds one state; it raises
+ValueError for any other weight.  Every Born weight on the protocol's
+stabilizer states is such a power, so no protocol path reaches that
+error.  norm_squared, reduced_density and first_difference apply the
+factor to what they return.
 
 insert_wire adjoins a wire in a basis state by rebuilding the basis
 tuples, with no ring arithmetic.  The public constructor checks every
@@ -260,14 +264,15 @@ class PureState:
     def insert_wire(self, wire: Wire, value: int, position: int) -> PureState:
         """Adjoin wire in basis state |value> at index position of the wires.
 
-        Only the basis tuples change; no amplitude is touched.  value must
-        be an integer and not a bool; a numpy integer is stored as int.
+        Only the basis tuples change; no amplitude is touched.  value and
+        position must be integers and not bools; a numpy integer becomes int.
         """
         if wire in self.wires:
             raise ValueError(f"wire {wire!r} already present in state wires {self.wires}")
         value = check_integer(value, "value")
         if not 0 <= value < self.dim:
             raise ValueError(f"value {value} out of range for dimension {self.dim}")
+        position = check_integer(position, "position")
         if not 0 <= position <= len(self.wires):
             raise ValueError(f"position {position} outside 0..{len(self.wires)}")
         wires = self.wires[:position] + (wire,) + self.wires[position:]
@@ -346,7 +351,7 @@ class PureState:
     # -- measurement ---------------------------------------------------------
 
     def _weight(self, terms: dict) -> Fraction:
-        """Unnormalized Born weight of terms, a dict of this state's terms.
+        """Born weight of terms, a dict of this state's terms, in stored units: no d**-scale_exp.
 
         Each term adds its c_i * c_j into one plain row at index (i - j) % d,
         and the row becomes one CycloElem; rational_value raises ValueError
@@ -360,12 +365,12 @@ class PureState:
             for i, a in nonzero:
                 for j, b in nonzero:
                     row[(i - j) % dim] += a * b
-        return Fraction(1, dim**self.scale_exp) * rational_value(CycloElem(dim, row))
+        return rational_value(CycloElem(dim, row))
 
     def _outcomes(self, idx: int) -> tuple[list, Fraction]:
         """(value, its terms, their Born weight) per value of wire idx, in value order, and the total.
 
-        One pass splits the terms by value; each branch is weighed once.
+        One pass splits the terms by value; each branch is weighed once, in stored units.
         """
         split: dict[int, dict] = {}
         for basis, amp in self.terms.items():
@@ -388,6 +393,7 @@ class PureState:
     def project(self, wire: Wire, outcome: int) -> PureState:
         """Collapse onto one outcome and renormalize; only that branch is weighed."""
         idx = self.wire_index(wire)
+        outcome = check_integer(outcome, "outcome")
         if not 0 <= outcome < self.dim:
             raise ValueError(f"outcome {outcome} out of range for dimension {self.dim}")
         branch = {b: a for b, a in self.terms.items() if b[idx] == outcome}
@@ -396,21 +402,18 @@ class PureState:
         return self._collapse(branch, self._weight(branch))
 
     def _collapse(self, branch: dict, weight: Fraction) -> PureState:
-        """The branch terms renormalized by their positive Born weight d**j.
+        """The branch terms renormalized by their Born weight in stored units, d**j with j >= 0.
 
-        The amplitudes stay and scale_exp gains j.  Any other weight, or a
-        j that takes scale_exp below 0, raises ValueError.
+        The amplitudes stay and scale_exp becomes j.  Any other weight
+        raises ValueError naming it with the factor d**-scale_exp applied.
         """
-        dim, scale_exp = self.dim, self.scale_exp
-        num, den = weight.numerator, weight.denominator
+        dim, num, scale_exp = self.dim, weight.numerator, 0
         while num and num % dim == 0:  # a zero weight is refused below
             num //= dim
             scale_exp += 1
-        while den % dim == 0:
-            den //= dim
-            scale_exp -= 1
-        if num != 1 or den != 1 or scale_exp < 0:
-            raise ValueError(f"branch weight {weight} is no power of d={dim} that scale_exp can absorb")
+        if num != 1 or weight.denominator != 1:
+            shown = weight / dim**self.scale_exp
+            raise ValueError(f"branch weight {shown} is no power of d={dim} that scale_exp can absorb")
         return PureState._derived(dim, self.wires, scale_exp, branch)
 
     def measure_computational(self, wire: Wire, rng) -> tuple[int, PureState, Fraction]:
@@ -449,7 +452,7 @@ class PureState:
     # -- aggregates ----------------------------------------------------------
 
     def norm_squared(self) -> Fraction:
-        return self._weight(self.terms)
+        return self._weight(self.terms) / self.dim**self.scale_exp
 
     def reduced_density(self, wire: Wire) -> DensityMatrixSlice:
         """Trace out everything but one wire."""

@@ -33,7 +33,8 @@ class TestObservationSign:
         assert observation_sign(11) == 1
         assert observation_sign(13) == -1
 
-    @pytest.mark.parametrize("m", (1, 2, 4, 6))
+    # -1 and -5 are 3 and 1 mod 4, so the residue alone would accept them
+    @pytest.mark.parametrize("m", (1, 2, 4, 6, -1, -3, -5, 0))
     def test_rejects_non_observation_rounds(self, m):
         with pytest.raises(ValueError):
             observation_sign(m)

@@ -200,6 +200,13 @@ class TestObservationDistribution:
             dist = exact_intercept_observation_distribution(3, 2, (1, q))
             assert dist == {v: Fraction(1, 3) for v in range(3)}
 
+    @pytest.mark.parametrize("dim", range(2, 6))
+    @pytest.mark.parametrize("attack_round", range(1, 4))
+    def test_key_none_is_all_zeros(self, dim, attack_round):
+        assert exact_intercept_observation_distribution(dim, attack_round, None) == (
+            exact_intercept_observation_distribution(dim, attack_round, (0,) * attack_round)
+        )
+
     def test_total_variation_zero(self):
         base = exact_intercept_observation_distribution(5, 1, (0,))
         for q in range(1, 5):

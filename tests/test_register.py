@@ -784,8 +784,68 @@ class TestBornWeightRows:
             with pytest.raises(ValueError, match="not rational"):
                 weights()
             return
-        scale = Fraction(1, state.dim**state.scale_exp)
-        assert weights() == {v: scale * rational_value(s) for v, s in sums.items()}
+        # weights are in stored units: d**-scale_exp cancels from every probability
+        expected = {v: rational_value(s) for v, s in sums.items()}
+        assert weights() == expected
+        if idx is None:
+            scale = Fraction(1, state.dim**state.scale_exp)
+            assert state.norm_squared() == scale * expected[None]
+
+
+class _Refusal(tuple):
+    """The type and message of an exception a call raised."""
+
+
+def _result(call, state):
+    """call(state), or the _Refusal it raised.
+
+    A weight that is not rational is named by its row of stored
+    coefficients, which scale with the amplitudes, so that part is cut.
+    """
+    try:
+        return call(state)
+    except Exception as exc:
+        return _Refusal((type(exc), str(exc).partition(": CycloElem")[0]))
+
+
+def _same(x, y):
+    """Equal results, where states compare as vectors."""
+    if isinstance(x, PureState) and isinstance(y, PureState):
+        return state_equals(x, y)
+    if isinstance(x, (tuple, list)) and type(x) is type(y):
+        return len(x) == len(y) and all(map(_same, x, y))
+    return x == y
+
+
+class TestScaleInvariance:
+    @settings(max_examples=300, deadline=None)
+    @given(ring_states(), strategies.integers(0, 2**32))
+    def test_measurements_ignore_how_the_factor_is_stored(self, state, seed):
+        # every amplitude times d and scale_exp + 2 is the same vector, so
+        # every measurement must agree, refusal messages included, but for
+        # the one case below
+        dim = state.dim
+        scaled = PureState(
+            dim, state.wires, state.scale_exp + 2, {b: a * dim for b, a in state.terms.items()}
+        )
+        calls = [PureState.norm_squared]
+        for wire in state.wires:
+            calls += [
+                lambda st, wire=wire: st.measurement_distribution(wire),
+                lambda st, wire=wire: st.branches(wire),
+                lambda st, wire=wire: st.measure_computational(wire, random.Random(seed)),
+            ]
+            calls += [lambda st, wire=wire, v=v: st.project(wire, v) for v in range(dim)]
+        for call in calls:
+            x, y = _result(call, state), _result(call, scaled)
+            if _same(x, y):
+                continue
+            # the copy's two more powers of d can hold a collapse whose
+            # stored weight is d**-1 or d**-2, which the original refuses;
+            # branches then refuses at a later branch or not at all
+            assert isinstance(x, _Refusal) and x[1].startswith("branch weight "), (x, y)
+            weight = Fraction(x[1].split()[2]) * dim**state.scale_exp
+            assert weight in (Fraction(1, dim), Fraction(1, dim**2)), (x, y)
 
 
 class TestDenseBornOracle:
@@ -868,8 +928,18 @@ ZERO_STATE = PureState(3, ("x",), 0, {(0,): CycloElem.zero(3)})  # its one term 
         (lambda: bell_state(3).insert_wire("k", 3, 2), ValueError,
          "value 3 out of range for dimension 3"),
         (lambda: bell_state(3).insert_wire("k", 0, 3), ValueError, "position 3 outside 0..2"),
+        (lambda: bell_state(3).insert_wire("k", 0, True), ValueError,
+         "position must be an integer, got True"),
+        (lambda: bell_state(3).insert_wire("k", 0, 1.0), ValueError,
+         "position must be an integer, got 1.0"),
         (lambda: bell_state(3).project("a", 3), ValueError,
          "outcome 3 out of range for dimension 3"),
+        (lambda: bell_state(3).project("a", True), ValueError,
+         "outcome must be an integer, got True"),
+        (lambda: bell_state(3).project("a", 1.0), ValueError,
+         "outcome must be an integer, got 1.0"),
+        (lambda: bell_state(3).project("a", "1"), ValueError,
+         "outcome must be an integer, got '1'"),
         (lambda: basis_state(3, [("k", 1)]).drop_wire("k"), ValueError,
          "cannot drop the last wire of a state"),
         # |1 + z|**2 = 2 + z + z^4, which reduces to 1 - z^2 - z^3 at d=5
@@ -880,7 +950,9 @@ ZERO_STATE = PureState(3, ("x",), 0, {(0,): CycloElem.zero(3)})  # its one term 
     ids=["dim-1", "no-wires", "int-amplitude", "tensor-dims", "reorder-not-permutation",
          "distribution-zero-state", "measure-zero-state", "branches-zero-state",
          "insert-duplicate-wire", "insert-value-d", "insert-position-past-end",
-         "project-outcome-d", "drop-only-wire",
+         "insert-position-bool", "insert-position-float",
+         "project-outcome-d", "project-outcome-bool", "project-outcome-float",
+         "project-outcome-str", "drop-only-wire",
          "distribution-irrational-weight"],
 )
 def test_refusals(call, error, message):
