@@ -37,38 +37,50 @@ canonical and basis values are plain ints (the constructor and
 insert_wire refuse a bool and turn numpy integers into int), so equal
 keys are equal input vectors written in the same term order, and the hit
 returns a copy of the terms a fresh computation would give, in the same
-order, under the caller's own wire labels.  The memo is bounded
-by the terms it holds, input plus output, since one entry holds from d
-to d**3 of them: it keeps at most HADAMARD_GATE_MEMO_TERMS, a constant,
-and empties itself when an entry would take it past that.  No eviction
-order would pay for its code: no benchmark workload fills the memo
+order, under the caller's own wire labels and stabilizer flag.  The memo
+is bounded by the terms it holds, input plus output, since one entry
+holds from d to d**3 of them: it keeps at most HADAMARD_GATE_MEMO_TERMS,
+a constant, and empties itself when an entry would take it past that.
+No eviction order would pay for its code: no benchmark workload fills the memo
 (2,000 attacked d=7 sessions keep 44 entries, 11,872 terms), and from
 d=29 on a session's 14 distinct inputs do not fit at all, so in their
 period-4 cycle least-recently-used order too drops the entry needed next.
 
-Born weights (|amplitude|**2 summed over some terms) come from _weight,
-which works on plain rows like the Hadamard: each term whose amplitude is
-sum_i c_i zeta**i adds c_i * c_j into row[(i - j) % d], and the row
-becomes one CycloElem, whose constructor reduces it; a weight that is not
-rational raises ValueError.  Weights are in the state's stored units,
-without the factor d**-scale_exp: every probability is a ratio of
-weights, so the factor cancels.  A measurement splits the state once:
-_outcomes groups the terms by the wire's value in one pass and weighs
-each branch once, and measurement_distribution, branches and the
-sampling measurement all read it; the sampler draws one outcome and
-collapses the terms it already holds for it.  norm_squared and project
-weigh only their own terms.  A collapse sets scale_exp to j when the
-branch's stored weight is d**j and builds one state; it raises
-ValueError for any other weight.  Every Born weight on the protocol's
+Born weights (|amplitude|**2 summed over some terms) are in the state's
+stored units, without the factor d**-scale_exp: every probability is a
+ratio of weights, so the factor cancels.  A measurement splits the state
+once: _outcomes groups the terms by the wire's value in one pass, and
+measurement_distribution, branches and the sampling measurement all read
+it; the sampler draws one outcome and collapses the terms it already
+holds for it.  How a branch is weighed depends on the stabilizer flag.
+bell_state and basis_state set it, and the Fourier gate, the controlled
+shift, insert_wire, drop_wire and a collapse pass it on, so it marks a
+normalized stabilizer state.  Such a state has one |amplitude|**2 on its
+whole support (Gross, arXiv:quant-ph/0602001; de Beaudrap,
+arXiv:1102.3354), so a branch holding c of its n terms weighs
+c * d**scale_exp / n: _outcomes counts terms, with no ring arithmetic,
+and the sampler compares plain ints.  Every other state (built with the
+public constructor, read by from_json_dict, or made by tensor or
+reorder_wires) weighs each branch with _weight, which works on plain rows
+like the Hadamard: each term whose amplitude is sum_i c_i zeta**i adds
+c_i * c_j into row[(i - j) % d], and the row becomes one CycloElem, whose
+constructor reduces it; a weight that is not rational raises ValueError
+naming it with the factor applied.  norm_squared and project weigh rows
+on every state, and only their own terms.  A collapse renormalizes by the
+branch's stored weight d**j: scale_exp becomes j when j >= 0, and when
+j < 0 the amplitudes are multiplied by d**ceil(-j/2) and scale_exp
+becomes 0 or 1, so the result is the same however the vector is stored.
+Any other weight raises ValueError.  Every Born weight on the protocol's
 stabilizer states is such a power, so no protocol path reaches that
 error.  norm_squared, reduced_density and first_difference apply the
 factor to what they return.
 
 insert_wire adjoins a wire in a basis state by rebuilding the basis
 tuples, with no ring arithmetic.  The public constructor checks every
-term.  Gates, collapses, insert_wire and drop_wire build their terms
-from a state that is already valid, so they go through the unchecked
-PureState._derived instead.
+term and leaves the flag off.  Gates, collapses, insert_wire and
+drop_wire build their terms from a state that is already valid, so they
+go through the unchecked PureState._derived instead, which takes the
+flag from its caller.
 
 Wires are plain string labels.  The four canonical protocol wires are
 Alice's and Bob's halves of the shared pair, the travelling key qudit,
@@ -181,9 +193,14 @@ class PureState:
     Normalized states satisfy norm_squared() == 1;
     the constructor does not enforce this so that intermediate values of
     unitary rewrites can exist.
+
+    stabilizer True carries the premise that the state is a normalized
+    stabilizer state, whose Born weights _outcomes then counts.  Only
+    bell_state and basis_state set it, and only operations that keep such
+    a state one pass it on; the constructor sets it False.
     """
 
-    __slots__ = ("dim", "wires", "scale_exp", "terms")
+    __slots__ = ("dim", "wires", "scale_exp", "terms", "stabilizer")
 
     def __init__(self, dim: int, wires, scale_exp: int, terms) -> None:
         dim = check_integer(dim, "dim")
@@ -216,18 +233,23 @@ class PureState:
         self.wires = wires
         self.scale_exp = scale_exp
         self.terms = clean
+        self.stabilizer = False
 
     @classmethod
-    def _derived(cls, dim: int, wires: tuple, scale_exp: int, terms: dict) -> PureState:
+    def _derived(
+        cls, dim: int, wires: tuple, scale_exp: int, terms: dict, stabilizer: bool
+    ) -> PureState:
         # internal fast path, like CycloElem._raw: the caller built terms
         # fresh from a valid state, so every basis tuple fits wires and dim,
         # every amplitude is a nonzero CycloElem of dimension dim, and the
-        # state takes ownership of the dict
+        # state takes ownership of the dict; stabilizer is True only when
+        # the caller applied a Clifford step to a flagged state
         state = object.__new__(cls)
         state.dim = dim
         state.wires = wires
         state.scale_exp = scale_exp
         state.terms = terms
+        state.stabilizer = stabilizer
         return state
 
     # -- construction helpers ------------------------------------------------
@@ -250,7 +272,7 @@ class PureState:
             for b2, a2 in other.terms.items():
                 terms[b1 + b2] = a1 * a2
         return PureState._derived(
-            self.dim, self.wires + other.wires, self.scale_exp + other.scale_exp, terms
+            self.dim, self.wires + other.wires, self.scale_exp + other.scale_exp, terms, False
         )
 
     def reorder_wires(self, order) -> PureState:
@@ -259,7 +281,7 @@ class PureState:
             raise ValueError(f"{order} is not a permutation of {self.wires}")
         perm = tuple(self.wires.index(w) for w in order)
         terms = {tuple(b[i] for i in perm): amp for b, amp in self.terms.items()}
-        return PureState._derived(self.dim, order, self.scale_exp, terms)
+        return PureState._derived(self.dim, order, self.scale_exp, terms, False)
 
     def insert_wire(self, wire: Wire, value: int, position: int) -> PureState:
         """Adjoin wire in basis state |value> at index position of the wires.
@@ -277,7 +299,7 @@ class PureState:
             raise ValueError(f"position {position} outside 0..{len(self.wires)}")
         wires = self.wires[:position] + (wire,) + self.wires[position:]
         terms = {b[:position] + (value,) + b[position:]: a for b, a in self.terms.items()}
-        return PureState._derived(self.dim, wires, self.scale_exp, terms)
+        return PureState._derived(self.dim, wires, self.scale_exp, terms, self.stabilizer)
 
     # -- gates ---------------------------------------------------------------
 
@@ -294,7 +316,7 @@ class PureState:
         for basis, amp in self.terms.items():
             shifted = (basis[ti] + sign * basis[ci]) % dim
             terms[basis[:ti] + (shifted,) + basis[ti + 1:]] = amp
-        return PureState._derived(dim, self.wires, self.scale_exp, terms)
+        return PureState._derived(dim, self.wires, self.scale_exp, terms, self.stabilizer)
 
     def apply_hadamard(self, wire: Wire, conjugate: bool = False) -> PureState:
         """Generalized Hadamard on one wire: |j> -> d**-1/2 sum_t zeta**(jt) |t>.
@@ -305,7 +327,7 @@ class PureState:
         coefficient tuples).  Coefficient tuples are canonical and basis
         values plain ints, so equal keys are equal input vectors in the
         same term order, and a hit returns the stored output's scale_exp
-        and a copy of its terms under this state's wires, with no grouping
+        and a copy of its terms under this state's wires and flag, with no grouping
         and no fold.  The memo keeps its own dict, so no state shares it,
         and holds at most HADAMARD_GATE_MEMO_TERMS terms, input plus output;
         a result that would take it past that empties it first (the module
@@ -330,7 +352,7 @@ class PureState:
         known = _hadamard_gate_memo.get(key)
         if known is not None:
             scale_exp, terms = known
-            return PureState._derived(dim, self.wires, scale_exp, dict(terms))
+            return PureState._derived(dim, self.wires, scale_exp, dict(terms), self.stabilizer)
         groups: dict[tuple[BasisTuple, BasisTuple], list] = {}
         for basis, coeffs in zip(bases, rows):
             groups.setdefault((basis[:idx], basis[idx + 1:]), []).append((basis[idx], coeffs))
@@ -346,7 +368,7 @@ class PureState:
             terms = {b: CycloElem(dim, [c // dim for c in amp.coeffs]) for b, amp in terms.items()}
             scale_exp -= 2
         _hadamard_gate_memo.put(key, (scale_exp, terms), len(bases) + len(terms))
-        return PureState._derived(dim, self.wires, scale_exp, dict(terms))
+        return PureState._derived(dim, self.wires, scale_exp, dict(terms), self.stabilizer)
 
     # -- measurement ---------------------------------------------------------
 
@@ -354,8 +376,9 @@ class PureState:
         """Born weight of terms, a dict of this state's terms, in stored units: no d**-scale_exp.
 
         Each term adds its c_i * c_j into one plain row at index (i - j) % d,
-        and the row becomes one CycloElem; rational_value raises ValueError
-        when that weight is not rational.
+        and the row becomes one CycloElem.  A weight that is not rational
+        raises ValueError naming it with the factor d**-scale_exp applied,
+        so the message is the same however the vector is stored.
         """
         dim = self.dim
         row = [0] * dim
@@ -365,30 +388,48 @@ class PureState:
             for i, a in nonzero:
                 for j, b in nonzero:
                     row[(i - j) % dim] += a * b
-        return rational_value(CycloElem(dim, row))
+        weight = CycloElem(dim, row)
+        try:
+            return rational_value(weight)
+        except ValueError:
+            shown = weight * Fraction(1, dim**self.scale_exp)
+            raise ValueError(f"element is not rational: {shown!r}") from None
 
-    def _outcomes(self, idx: int) -> tuple[list, Fraction]:
-        """(value, its terms, their Born weight) per value of wire idx, in value order, and the total.
+    def _outcomes(self, idx: int) -> tuple[list, int | Fraction, Fraction]:
+        """([(value, its terms, their share)] in value order, total share, unit) for wire idx.
 
-        One pass splits the terms by value; each branch is weighed once, in stored units.
+        One pass splits the terms by value.  A branch's Born weight in
+        stored units is share * unit and its probability share / total.
+        A flagged stabilizer state has one |amplitude|**2 on its whole
+        support, so its shares are term counts and its unit is
+        d**scale_exp / n for n terms: a branch holding c terms weighs
+        c * d**scale_exp / n, with no ring arithmetic.  Any other state
+        weighs each branch once with _weight, and its unit is 1.
         """
         split: dict[int, dict] = {}
         for basis, amp in self.terms.items():
             split.setdefault(basis[idx], {})[basis] = amp
         if not split:
             raise ValueError("cannot measure a zero state")
+        if self.stabilizer:
+            n = len(self.terms)
+            outcomes = [(v, split[v], len(split[v])) for v in sorted(split)]
+            return outcomes, n, Fraction(self.dim**self.scale_exp, n)
         outcomes = [(v, split[v], self._weight(split[v])) for v in sorted(split)]
-        return outcomes, sum(w for _, _, w in outcomes)
+        return outcomes, sum(w for _, _, w in outcomes), Fraction(1)
 
     def measurement_distribution(self, wire: Wire) -> dict[int, Fraction]:
         """Exact Born probabilities for a computational measurement of wire."""
-        outcomes, total = self._outcomes(self.wire_index(wire))
-        return {v: w / total for v, _, w in outcomes}
+        outcomes, total, _ = self._outcomes(self.wire_index(wire))
+        return {v: Fraction(share, total) for v, _, share in outcomes}
 
     def branches(self, wire: Wire) -> list[tuple[int, PureState, Fraction]]:
         """Every (outcome, collapsed renormalized state, exact probability), in outcome order."""
-        outcomes, total = self._outcomes(self.wire_index(wire))
-        return [(v, self._collapse(branch, w), w / total) for v, branch, w in outcomes]
+        outcomes, total, unit = self._outcomes(self.wire_index(wire))
+        return [
+            (v, self._collapse(branch, share * unit), Fraction(share, total))
+            for v, branch, share in outcomes
+        ]
 
     def project(self, wire: Wire, outcome: int) -> PureState:
         """Collapse onto one outcome and renormalize; only that branch is weighed."""
@@ -402,33 +443,47 @@ class PureState:
         return self._collapse(branch, self._weight(branch))
 
     def _collapse(self, branch: dict, weight: Fraction) -> PureState:
-        """The branch terms renormalized by their Born weight in stored units, d**j with j >= 0.
+        """The branch terms renormalized by their Born weight in stored units, a power d**j.
 
-        The amplitudes stay and scale_exp becomes j.  Any other weight
-        raises ValueError naming it with the factor d**-scale_exp applied.
+        For j >= 0 the amplitudes stay and scale_exp becomes j.  For j < 0
+        they are multiplied by d**m, m = ceil(-j/2), and scale_exp becomes
+        j + 2m, so the result depends only on the vector, not on how it is
+        stored.  Any other weight raises ValueError naming it with the
+        factor d**-scale_exp applied.
         """
-        dim, num, scale_exp = self.dim, weight.numerator, 0
+        dim, num, den, j = self.dim, weight.numerator, weight.denominator, 0
         while num and num % dim == 0:  # a zero weight is refused below
             num //= dim
-            scale_exp += 1
-        if num != 1 or weight.denominator != 1:
+            j += 1
+        while den % dim == 0:
+            den //= dim
+            j -= 1
+        if num != 1 or den != 1:
             shown = weight / dim**self.scale_exp
             raise ValueError(f"branch weight {shown} is no power of d={dim} that scale_exp can absorb")
-        return PureState._derived(dim, self.wires, scale_exp, branch)
+        if j < 0:
+            m = (1 - j) // 2
+            branch = {b: a * dim**m for b, a in branch.items()}
+            j += 2 * m
+        return PureState._derived(dim, self.wires, j, branch, self.stabilizer)
 
     def measure_computational(self, wire: Wire, rng) -> tuple[int, PureState, Fraction]:
         """Sample an outcome with exact Born weights; rng supplies one uniform draw.
 
         Returns the branch of branches(wire) that the draw picks, and
-        collapses only that branch.
+        collapses only that branch.  The draw is exactly num/den, and the
+        pick is the first branch whose running share exceeds num/den times
+        the total share, compared as num * total < running * den: plain
+        ints on a flagged state.
         """
-        outcomes, total = self._outcomes(self.wire_index(wire))
-        u = Fraction(rng.random()) * total  # u < total: the loop always breaks
-        for outcome, branch, w in outcomes:
-            if u < w:
+        outcomes, total, unit = self._outcomes(self.wire_index(wire))
+        num, den = rng.random().as_integer_ratio()
+        bound, running = num * total, 0  # the draw is below 1: the loop always breaks
+        for outcome, branch, share in outcomes:
+            running += share
+            if bound < running * den:
                 break
-            u -= w
-        return outcome, self._collapse(branch, w), w / total
+        return outcome, self._collapse(branch, share * unit), Fraction(share, total)
 
     def deterministic_outcome(self, wire: Wire) -> int | None:
         """The single value wire takes in every term, or None if it varies."""
@@ -447,7 +502,7 @@ class PureState:
             raise ValueError("cannot drop the last wire of a state")
         wires = self.wires[:idx] + self.wires[idx + 1:]
         terms = {b[:idx] + b[idx + 1:]: a for b, a in self.terms.items()}
-        return PureState._derived(self.dim, wires, self.scale_exp, terms)
+        return PureState._derived(self.dim, wires, self.scale_exp, terms, self.stabilizer)
 
     # -- aggregates ----------------------------------------------------------
 
@@ -619,7 +674,9 @@ class DensityMatrixSlice:
 def bell_state(dim: int, wires: tuple[Wire, Wire] = (ALICE_WIRE, BOB_WIRE)) -> PureState:
     """The maximally entangled pair sum_j |j,j> / sqrt(d)."""
     one = CycloElem.one(check_integer(dim, "dim"))
-    return PureState(dim, wires, 1, {(j, j): one for j in range(dim)})
+    state = PureState(dim, wires, 1, {(j, j): one for j in range(dim)})
+    state.stabilizer = True
+    return state
 
 
 def basis_state(dim: int, wire_values) -> PureState:
@@ -627,7 +684,9 @@ def basis_state(dim: int, wire_values) -> PureState:
     pairs = list(wire_values)
     wires = tuple(w for w, _ in pairs)
     values = tuple(v for _, v in pairs)
-    return PureState(dim, wires, 0, {values: CycloElem.one(check_integer(dim, "dim"))})
+    state = PureState(dim, wires, 0, {values: CycloElem.one(check_integer(dim, "dim"))})
+    state.stabilizer = True
+    return state
 
 
 # -- comparison ----------------------------------------------------------------

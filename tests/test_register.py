@@ -1,7 +1,9 @@
 import json
+import math
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,6 +58,26 @@ class FirstOutcomeRng:
 
     def random(self):
         return 0.0
+
+
+class FixedDrawRng:
+    """The same uniform draw every time."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def random(self):
+        return self.draw
+
+
+def unflagged_bell(dim):
+    """bell_state(dim)'s vector built with the public constructor, which leaves the flag off."""
+    return PureState(dim, ("a", "b"), 1, {(j, j): CycloElem.one(dim) for j in range(dim)})
+
+
+def stage_states(session):
+    """Every stage state of a session, and its final shared state."""
+    return [s for r in session.rounds for _, s in r.stages] + [session.final_shared_state]
 
 
 class TestConstruction:
@@ -625,6 +647,21 @@ class TestMeasurement:
         assert collapsed.norm_squared() == 1
         assert state_equals(collapsed, basis_state(3, [("x", 0), ("y", 0)]))
 
+    @pytest.mark.parametrize(
+        "dim, amplitude, scale_exp",
+        [(9, Fraction(1, 3), 0), (3, Fraction(1, 3), 2), (3, Fraction(1, 9), 1), (4, Fraction(1, 8), 0)],
+    )
+    def test_collapse_renormalizes_a_branch_weighing_less_than_one(self, dim, amplitude, scale_exp):
+        # stored weights d**-1, d**-2, d**-4 and d**-3: the amplitudes are
+        # scaled up by a power of d, so the result is the vector, however stored
+        st = PureState(dim, ("x",), scale_exp, {(0,): CycloElem.from_rational(dim, amplitude)})
+        collapsed = st.project("x", 0)
+        assert collapsed.scale_exp in (0, 1)
+        assert collapsed.norm_squared() == 1
+        assert state_equals(collapsed, basis_state(dim, [("x", 0)]))
+        assert state_equals(st.branches("x")[0][1], collapsed)
+        assert state_equals(st.measure_computational("x", FirstOutcomeRng())[1], collapsed)
+
     def test_project_zero_probability_rejected(self):
         with pytest.raises(ValueError):
             basis_state(3, [("x", 0)]).project("x", 2)
@@ -666,7 +703,7 @@ class TestMeasurement:
     def test_measurement_squares_each_amplitude_once(self, monkeypatch):
         # each branch's |amplitude|**2 sum is one plain row, reduced into one
         # CycloElem; no amplitude is conjugated as a ring element
-        st = bell_state(5)
+        st = unflagged_bell(5)
         built, conj_calls = [], []
         original_init, original_conj = CycloElem.__init__, CycloElem.conj
 
@@ -685,6 +722,41 @@ class TestMeasurement:
         assert conj_calls == []
         assert prob == Fraction(1, 5)
         assert set(collapsed.terms) == {(outcome, outcome)}
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lambda st: [st.measure_computational("a", philox(23))],
+            lambda st: st.branches("a"),
+            lambda st: [(v, None, p) for v, p in st.measurement_distribution("a").items()],
+        ],
+        ids=["measure_computational", "branches", "measurement_distribution"],
+    )
+    def test_flagged_state_counts_terms(self, monkeypatch, measure):
+        # bell_state is flagged: one split of the state, and its Born weights
+        # are term counts, with no row and no ring element built
+        st = bell_state(5)
+        splits, built, weighed = [], [], []
+        original_outcomes, original_init = PureState._outcomes, CycloElem.__init__
+
+        def counted_outcomes(self, idx):
+            splits.append(idx)
+            return original_outcomes(self, idx)
+
+        def counted_init(self, *args):
+            built.append(1)
+            original_init(self, *args)
+
+        monkeypatch.setattr(PureState, "_outcomes", counted_outcomes)
+        monkeypatch.setattr(CycloElem, "__init__", counted_init)
+        monkeypatch.setattr(PureState, "_weight", lambda self, terms: weighed.append(terms))
+        results = measure(st)
+        assert splits == [0]
+        assert built == [] and weighed == []
+        assert all(p == Fraction(1, 5) for _, _, p in results)
+        for v, collapsed, _ in results:
+            if collapsed is not None:
+                assert collapsed.stabilizer and collapsed.terms.keys() == {(v, v)}
 
 
 @strategies.composite
@@ -747,7 +819,7 @@ class TestBranches:
 
         monkeypatch.setattr(PureState, "_outcomes", counted_outcomes)
         monkeypatch.setattr(PureState, "_weight", counted_weight)
-        state = bell_state(5)
+        state = unflagged_bell(5)
         branches = state.branches("a")
         assert splits == [0]
         assert sorted(weighed) == sorted(state.terms)
@@ -770,7 +842,8 @@ class TestBornWeightRows:
         def weights():
             if idx is None:
                 return {None: state._weight(state.terms)}
-            outcomes, total = state._outcomes(idx)
+            outcomes, total, unit = state._outcomes(idx)
+            assert unit == 1  # an unflagged state's shares are its weights
             assert [v for v, _, _ in outcomes] == sorted(sums)
             assert all(b[idx] == v for v, branch, _ in outcomes for b in branch)
             assert total == sum(w for _, _, w in outcomes)
@@ -797,15 +870,11 @@ class _Refusal(tuple):
 
 
 def _result(call, state):
-    """call(state), or the _Refusal it raised.
-
-    A weight that is not rational is named by its row of stored
-    coefficients, which scale with the amplitudes, so that part is cut.
-    """
+    """call(state), or the _Refusal it raised."""
     try:
         return call(state)
     except Exception as exc:
-        return _Refusal((type(exc), str(exc).partition(": CycloElem")[0]))
+        return _Refusal((type(exc), str(exc)))
 
 
 def _same(x, y):
@@ -822,8 +891,7 @@ class TestScaleInvariance:
     @given(ring_states(), strategies.integers(0, 2**32))
     def test_measurements_ignore_how_the_factor_is_stored(self, state, seed):
         # every amplitude times d and scale_exp + 2 is the same vector, so
-        # every measurement must agree, refusal messages included, but for
-        # the one case below
+        # every measurement must agree, refusal messages included
         dim = state.dim
         scaled = PureState(
             dim, state.wires, state.scale_exp + 2, {b: a * dim for b, a in state.terms.items()}
@@ -838,14 +906,7 @@ class TestScaleInvariance:
             calls += [lambda st, wire=wire, v=v: st.project(wire, v) for v in range(dim)]
         for call in calls:
             x, y = _result(call, state), _result(call, scaled)
-            if _same(x, y):
-                continue
-            # the copy's two more powers of d can hold a collapse whose
-            # stored weight is d**-1 or d**-2, which the original refuses;
-            # branches then refuses at a later branch or not at all
-            assert isinstance(x, _Refusal) and x[1].startswith("branch weight "), (x, y)
-            weight = Fraction(x[1].split()[2]) * dim**state.scale_exp
-            assert weight in (Fraction(1, dim), Fraction(1, dim**2)), (x, y)
+            assert _same(x, y), (x, y)
 
 
 class TestDenseBornOracle:
@@ -884,6 +945,108 @@ class TestDenseBornOracle:
                 (match,) = [b for b in branches if b[0] == outcome]
                 assert p == match[2]
                 assert first_difference(collapsed, match[1]) is None
+
+
+class TestStabilizerFlag:
+    """Flagged states count their Born weights; every other state weighs rows."""
+
+    @pytest.mark.parametrize("dim", range(2, 10))
+    @pytest.mark.parametrize(
+        "make_adversary",
+        [lambda: None, GaoAttack, InterceptResend, lambda: InterceptResend({1})],
+        ids=["honest", "gao", "intercept", "intercept-round-1"],
+    )
+    def test_counted_weights_equal_row_weights(self, dim, make_adversary):
+        for rounds in (1, 5, 13):
+            key = tuple(int(x) for x in philox(dim, stream=rounds).integers(0, dim, rounds))
+            session = run_session(ProtocolConfig(dim, rounds, key, rng_seed=dim), make_adversary())
+            for state in stage_states(session):
+                assert state.stabilizer
+                for idx in range(len(state.wires)):
+                    outcomes, total, unit = state._outcomes(idx)
+                    assert total * unit == state._weight(state.terms)
+                    for _, branch, share in outcomes:
+                        assert share * unit == state._weight(branch)
+
+    def test_public_constructor_weighs_rows(self):
+        # unequal magnitudes: counting its two terms would give 1/2 each
+        one = CycloElem.one(3)
+        st = PureState(3, ("x",), 0, {(0,): one, (1,): one * 2})
+        assert not st.stabilizer
+        assert st.measurement_distribution("x") == {0: Fraction(1, 5), 1: Fraction(4, 5)}
+
+    def test_reloaded_closed_form_and_rewired_states_are_unflagged(self):
+        session = run_session(ProtocolConfig(3, 5, (1, 0, 2, 1, 2), rng_seed=3), GaoAttack())
+        for state in stage_states(session):
+            assert not PureState.from_json_dict(state.to_json_dict()).stabilizer
+            assert "stabilizer" not in state.to_json_dict()
+        assert not any(state.stabilizer for state in STAGES3.values())
+        assert not bell_state(3).tensor(basis_state(3, [("k", 1)])).stabilizer
+        assert not bell_state(3).reorder_wires(("b", "a")).stabilizer
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            lambda st: st.apply_hadamard("a"),
+            lambda st: st.apply_hadamard("b", conjugate=True),
+            lambda st: st.apply_controlled_shift("a", "b"),
+            lambda st: st.insert_wire("k", 2, 1),
+            lambda st: st.insert_wire("k", 2, 1).drop_wire("k"),
+            lambda st: st.project("a", 1),
+            lambda st: st.branches("a")[2][1],
+            lambda st: st.measure_computational("a", FirstOutcomeRng())[1],
+        ],
+        ids=["hadamard", "hadamard-conjugate", "shift", "insert", "drop", "project",
+             "branches", "measure"],
+    )
+    def test_steps_pass_the_flag_on(self, step):
+        # the gate memo keys on the vector alone: a hit on an entry that the
+        # other kind of state stored still carries the caller's flag
+        for first, second in ((bell_state(3), unflagged_bell(3)), (unflagged_bell(3), bell_state(3))):
+            _hadamard_gate_memo.clear()
+            for state in (first, second):
+                assert step(state).stabilizer is state.stabilizer
+
+
+def _born_rule_pick(state, wire, draw):
+    """The outcome whose cumulative probability first exceeds the draw, in exact Fractions."""
+    cumulative = Fraction(0)
+    for v, p in sorted(state.measurement_distribution(wire).items()):
+        cumulative += p
+        if Fraction(draw) < cumulative:
+            return v
+
+
+class TestSampler:
+    """measure_computational picks the branch the exact Born rule picks for its draw."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ring_states(), strategies.floats(0, 1, exclude_max=True))
+    def test_row_weights(self, state, draw):
+        # most drawn weights are no power of d, so the collapse is left out
+        with mock.patch.object(PureState, "_collapse", lambda self, branch, weight: branch):
+            for wire in state.wires:
+                try:
+                    expected = _born_rule_pick(state, wire, draw)
+                except ValueError:  # a weight that is not rational
+                    continue
+                outcome, branch, p = state.measure_computational(wire, FixedDrawRng(draw))
+                assert outcome == expected
+                assert all(b[state.wire_index(wire)] == outcome for b in branch)
+                assert p == state.measurement_distribution(wire)[outcome]
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_counted_weights_on_and_next_to_every_boundary(self, dim):
+        # draws k/16 fall on the cumulative probabilities of d = 2, 4 and 8,
+        # and each draw just below one must still pick the branch before it
+        draws = [k / 16 for k in range(16)] + [math.nextafter(k / 16, 0) for k in range(1, 17)]
+        session = run_session(ProtocolConfig(dim, 3, (1 % dim, 0, 1 % dim), rng_seed=dim),
+                              InterceptResend())
+        for state in [bell_state(dim)] + stage_states(session):
+            for wire in state.wires:
+                for draw in draws:
+                    outcome, _, _ = state.measure_computational(wire, FixedDrawRng(draw))
+                    assert outcome == _born_rule_pick(state, wire, draw)
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
@@ -946,6 +1109,10 @@ ZERO_STATE = PureState(3, ("x",), 0, {(0,): CycloElem.zero(3)})  # its one term 
         (lambda: PureState(5, ("x",), 0, {(0,): CycloElem(5, (1, 1, 0, 0, 0))})
          .measurement_distribution("x"), ValueError,
          "element is not rational: CycloElem(5, (1, 0, -1, -1, 0))"),
+        # the same vector stored as amplitude 5 + 5z with scale_exp 2
+        (lambda: PureState(5, ("x",), 2, {(0,): CycloElem(5, (5, 5, 0, 0, 0))})
+         .measurement_distribution("x"), ValueError,
+         "element is not rational: CycloElem(5, (1, 0, -1, -1, 0))"),
     ],
     ids=["dim-1", "no-wires", "int-amplitude", "tensor-dims", "reorder-not-permutation",
          "distribution-zero-state", "measure-zero-state", "branches-zero-state",
@@ -953,7 +1120,7 @@ ZERO_STATE = PureState(3, ("x",), 0, {(0,): CycloElem.zero(3)})  # its one term 
          "insert-position-bool", "insert-position-float",
          "project-outcome-d", "project-outcome-bool", "project-outcome-float",
          "project-outcome-str", "drop-only-wire",
-         "distribution-irrational-weight"],
+         "distribution-irrational-weight", "distribution-irrational-weight-scaled"],
 )
 def test_refusals(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
