@@ -5,7 +5,11 @@ under test: states become flat numpy arrays indexed by mixed-radix basis
 tuples, and gates are applied by explicit loops over those arrays.
 reference_hadamard is the exact per-term Hadamard built from ring
 operations, which the engine's row-accumulating one must match term for
-term.  The remaining helpers are checks that only the tests need.
+term.  dense_round re-implements a whole protocol round on such arrays,
+with its own gate matrices and its own copies of the honest, ancilla and
+intercept schedules, so a session can be checked without the ring, the
+register or the round engine.  The remaining helpers are checks that
+only the tests need.
 """
 
 from __future__ import annotations
@@ -189,3 +193,125 @@ def random_ring_state(
 
 def assert_vectors_close(actual: np.ndarray, expected: np.ndarray, tol: float = 1e-9):
     assert np.max(np.abs(actual - expected)) < tol
+
+
+# -- whole-session dense oracle ------------------------------------------------
+#
+# A dense state is (wires, array): one array axis per wire label, in the
+# same order.  Nothing below reads qkdlab; the schedules are the protocol's
+# description, written out again.
+
+#: Born weights at or below this are branches the exact engine does not make
+DENSE_ZERO = 1e-12
+
+
+def _fourier_matrix(dim: int, conjugate: bool) -> np.ndarray:
+    """F[t, j] = exp(+-2 pi i j t / d) / sqrt(d)."""
+    sign = -1 if conjugate else 1
+    j = np.arange(dim)
+    return np.exp(sign * 2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
+
+
+def _dense_gate(state, wire: str, matrix: np.ndarray):
+    wires, vec = state
+    axis = wires.index(wire)
+    return wires, np.moveaxis(np.tensordot(matrix, vec, axes=([1], [axis])), 0, axis)
+
+
+def _dense_shift(state, control: str, target: str, sign: int):
+    """|..c..t..> -> |..c..(t + sign * c) mod d..>."""
+    wires, vec = state
+    dim = vec.shape[0]
+    ci, ti = wires.index(control), wires.index(target)
+    out = np.zeros_like(vec)
+    for index in np.ndindex(vec.shape):
+        moved = list(index)
+        moved[ti] = (index[ti] + sign * index[ci]) % dim
+        out[tuple(moved)] = vec[index]
+    return wires, out
+
+
+def _dense_insert(state, wire: str, value: int, position: int):
+    wires, vec = state
+    dim = vec.shape[0]
+    fresh = np.zeros(dim, dtype=complex)
+    fresh[value] = 1
+    out = np.moveaxis(np.multiply.outer(vec, fresh), -1, position)
+    return wires[:position] + (wire,) + wires[position:], out
+
+
+def _dense_branches(state, wire: str):
+    """[(outcome, collapsed normalized state, probability)] for every nonzero outcome."""
+    wires, vec = state
+    axis = wires.index(wire)
+    out = []
+    for value in range(vec.shape[axis]):
+        kept = np.zeros_like(vec)
+        index = (slice(None),) * axis + (value,)
+        kept[index] = vec[index]
+        weight = float(np.sum(np.abs(kept) ** 2))
+        if weight > DENSE_ZERO:
+            out.append((value, (wires, kept / np.sqrt(weight)), weight))
+    return out
+
+
+def _dense_drop(state, wire: str):
+    """Remove a wire that holds one value on the whole support."""
+    ((value, (wires, vec), _),) = _dense_branches(state, wire)
+    axis = wires.index(wire)
+    return wires[:axis] + wires[axis + 1:], np.take(vec, value, axis=axis)
+
+
+def _dense_basis_hook(kind: str, state, round_index: int):
+    if kind == "gao":
+        if round_index == 1:
+            return _dense_insert(state, "e", 0, len(state[0]))
+        return _dense_gate(state, "e", _fourier_matrix(state[1].shape[0], False))
+    return state
+
+
+def _dense_transit_hook(kind: str, attacked, state, round_index: int):
+    """[(states produced, value read, probability)], the last state travelling on."""
+    if kind == "intercept" and (attacked is None or round_index in attacked):
+        return [([collapsed], value, p) for value, collapsed, p in _dense_branches(state, "k")]
+    if kind != "gao":
+        return [([state], None, 1.0)]
+    if round_index == 1:
+        return [([_dense_shift(state, "k", "e", 1)], None, 1.0)]
+    if round_index % 2 == 0:
+        return [([_dense_shift(state, "e", "k", 1)], None, 1.0)]
+    read = _dense_shift(state, "e", "k", -1)
+    ((value, _, _),) = _dense_branches(read, "k")
+    return [([read, _dense_shift(read, "e", "k", 1)], value, 1.0)]
+
+
+def dense_round(state, round_index: int, key_dit: int, kind: str, attacked=None):
+    """Every branch of one round: (stage states, value read, Bob's outcome, next shared state, p).
+
+    kind is "honest", "gao" or "intercept"; attacked is the set of
+    intercepted rounds, None for all.  The stages are the ones
+    protocol._round yields: the basis change, pre_encode, post_encode,
+    every transit state and post_decode.
+    """
+    dim = state[1].shape[0]
+    basis = _dense_gate(state, "a", _fourier_matrix(dim, False))
+    basis = _dense_gate(basis, "b", _fourier_matrix(dim, True))
+    basis = _dense_basis_hook(kind, basis, round_index)
+    pre = _dense_insert(basis, "k", key_dit, basis[0].index("b") + 1)
+    post = _dense_shift(pre, "a", "k", 1)
+    for transit, value, p_eve in _dense_transit_hook(kind, attacked, post, round_index):
+        decoded = _dense_shift(transit[-1], "b", "k", -1)
+        stages = [basis, pre, post, *transit, decoded]
+        for outcome, collapsed, p_bob in _dense_branches(decoded, "k"):
+            yield stages, value, outcome, _dense_drop(collapsed, "k"), p_eve * p_bob
+
+
+def dense_bell(dim: int):
+    """sum_j |j, j> / sqrt(d) on wires (a, b)."""
+    return ("a", "b"), np.eye(dim, dtype=complex) / np.sqrt(dim)
+
+
+def dense_of(state: PureState):
+    """A PureState as a dense state in its own wire order."""
+    shape = (state.dim,) * len(state.wires)
+    return state.wires, state_vector(state).reshape(shape)

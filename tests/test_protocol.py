@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import GENERIC_STAGE_LABELS, philox
+from helpers import GENERIC_STAGE_LABELS, dense_bell, dense_of, dense_round, philox
 from qkdlab import protocol
 from qkdlab.adversary import AdversaryStrategy, GaoAttack, InterceptResend
+from qkdlab.analysis import exact_outcomes
 from qkdlab.protocol import (
     ProtocolConfig,
     ProtocolViolationError,
@@ -17,6 +18,7 @@ from qkdlab.protocol import (
     dump_transcript,
     make_rng,
     parse_announce,
+    _round,
     run_round,
     run_session,
     transcript_to_json_dict,
@@ -547,3 +549,66 @@ class TestEveKnowledgeBridge:
         assert knowledge.dim == 3
         assert [o.round_index for o in knowledge.observations] == [3, 5, 7, 9]
         assert knowledge.q1_candidates == frozenset({0, 1, 2})
+
+
+#: (strategy, dense schedule kind, intercepted rounds) per oracle case
+ORACLE_CASES = {
+    "honest": (lambda: None, "honest", None),
+    "gao": (GaoAttack, "gao", None),
+    "intercept": (InterceptResend, "intercept", None),
+    "intercept-round-1": (lambda: InterceptResend({1}), "intercept", {1}),
+}
+
+
+def _assert_dense_close(state, dense, tol=1e-9):
+    wires, vec = dense_of(state)
+    assert wires == dense[0]
+    assert np.max(np.abs(vec - dense[1])) <= tol
+
+
+class TestDenseSessionOracle:
+    """Whole sessions against tests/helpers.py's dense re-implementation of a round.
+
+    Every branch of every round is walked on both sides: each stage that
+    _round yields and the next shared state match the dense vectors, and
+    after each round every history's probability from exact_outcomes
+    matches the dense walk's.  Interception in every round makes d**2
+    branches a round from round 2 on, so that case stops once a walk
+    would pass 512 branches.
+    """
+
+    @pytest.mark.parametrize("dim", range(2, 6))
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_session_matches_dense_oracle(self, dim, case):
+        make_strategy, kind, attacked = ORACLE_CASES[case]
+        strategy = make_strategy() or AdversaryStrategy()
+        rounds = 5
+        if case == "intercept":
+            rounds = max(r for r in range(1, 6) if dim ** (2 * r - 1) <= 512)
+        key = tuple(int(x) for x in philox(dim, stream=29).integers(0, dim, rounds))
+        walk = [((), bell_state(dim), dense_bell(dim), 1.0)]
+        for index, dit in enumerate(key, start=1):
+            nxt = []
+            for history, state, dense, p in walk:
+                want = {
+                    (value, outcome): (stages, shared, q)
+                    for stages, value, outcome, shared, q in dense_round(
+                        dense, index, dit, kind, attacked
+                    )
+                }
+                got = list(_round(state, index, dit, strategy, PureState.branches))
+                assert sorted(want) == sorted((value, outcome) for _, value, outcome, _, _ in got)
+                for states, value, outcome, shared, q in got:
+                    stages, dense_shared, dense_q = want[value, outcome]
+                    assert len(states) == len(stages)
+                    for s, d in zip([*states, shared], [*stages, dense_shared]):
+                        _assert_dense_close(s, d)
+                    assert abs(float(q) - dense_q) <= 1e-12
+                    nxt.append((history + ((value, outcome),), shared, dense_shared, p * dense_q))
+            walk = nxt
+            histories = {}
+            for history, _, _, p in walk:
+                histories[history] = histories.get(history, 0.0) + p
+            exact = exact_outcomes(dim, key[:index], make_strategy())
+            assert exact.keys() == histories.keys()
+            assert max(abs(float(p) - histories[h]) for h, p in exact.items()) <= 1e-12
