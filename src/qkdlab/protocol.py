@@ -41,6 +41,7 @@ from .register import (
     PureState,
     bell_state,
     check_integer,
+    intern,
 )
 
 SCHEMA_VERSION = "v1"
@@ -173,7 +174,7 @@ def _round(
         decoded = transit[-1].apply_controlled_shift(BOB_WIRE, TRANSIT_WIRE, "left")
         states = [basis, pre_encode, post_encode, *transit, decoded]
         for outcome, collapsed, p_bob in measure(decoded, TRANSIT_WIRE):
-            yield states, value, outcome, collapsed.drop_wire(TRANSIT_WIRE), p_eve * p_bob
+            yield states, value, outcome, intern(collapsed.drop_wire(TRANSIT_WIRE)), p_eve * p_bob
 
 
 def _label_stages(

@@ -108,11 +108,9 @@ ANCILLA_WIRE: Wire = "e"
 #: at d=23 ru_maxrss of six sessions grows by 7 MB (47 -> 54), where 4096 adds 12
 HADAMARD_GROUP_CACHE_SIZE = 2048
 
-#: Terms, input plus output, the whole-gate memo holds.  A 13-round attacked session
-#: keeps 14 entries: 3,472 terms at d=7, 60,040 at d=19 and 104,880 at d=23.  Over
-#: six d=23 sessions 2**17 runs 2.5x faster than no memo, with ru_maxrss 54.5 -> 65.5
-#: MB; 2**16 thrashes (no hit, no gain) and 2**18 gains 6% more for 12 MB more
-HADAMARD_GATE_MEMO_TERMS = 1 << 17
+#: Terms the op memo holds over all its stored states and measurement splits.  A
+#: 13-round attacked session stores XXX
+MEMO_TERMS = 1 << 17
 
 
 @lru_cache(maxsize=HADAMARD_GROUP_CACHE_SIZE)
@@ -139,49 +137,59 @@ def _hadamard_group(dim: int, conjugate: bool, members: tuple) -> tuple[tuple[in
     return tuple((t, amp) for t, amp in outputs if any(amp.coeffs))
 
 
-class _GateMemo:
-    """Whole-gate results in a plain dict, bounded by the terms they hold.
+class _OpMemo:
+    """The op tables of stored states, the interned states and the shared basis tuples.
 
-    An entry's size is its key's term count plus its value's.  Storing an
-    entry that would take terms past budget first empties the memo; an
-    entry larger than budget on its own is not stored.  hits and misses
-    count the lookups since the last clear().
+    A stored state's _ops maps (op, validated arguments) to the stored
+    result.  terms counts the terms of every stored state and measurement
+    split; when one more would take it past budget, every table is
+    emptied together, so no entry outlives the state it names.
+    overflows counts those emptyings.
     """
 
-    __slots__ = ("budget", "entries", "terms", "hits", "misses")
+    __slots__ = ("budget", "states", "interned", "bases", "terms", "overflows")
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
-        self.entries: dict = {}
+        self.states: list[PureState] = []
+        self.interned: dict[tuple, PureState] = {}
+        self.bases: dict[BasisTuple, BasisTuple] = {}
         self.terms = 0
-        self.hits = self.misses = 0
+        self.overflows = 0
 
-    def get(self, key):
-        """The value stored under key, or None."""
-        value = self.entries.get(key)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
-    def put(self, key, value, size: int) -> None:
-        """Store value under key, an absent key, as an entry of size terms."""
-        if size > self.budget:
-            return
+    def count(self, size: int) -> bool:
+        """Take size more terms; False, after emptying every table, when they do not fit."""
         if self.terms + size > self.budget:
-            self.entries.clear()
-            self.terms = 0
-        self.entries[key] = value
+            self.overflows += 1
+            self.clear()
+            return False
         self.terms += size
+        return True
+
+    def admit(self, state: PureState, share: bool) -> bool:
+        """Store state, an unstored one, if its terms fit; share swaps in the shared basis tuples."""
+        if not self.count(len(state.terms)):
+            return False
+        if share:
+            known = self.bases.setdefault
+            state.terms = {known(b, b): a for b, a in state.terms.items()}
+        state._ops = {}
+        state._recurs = False
+        self.states.append(state)
+        return True
 
     def clear(self) -> None:
-        self.entries.clear()
+        for state in self.states:
+            state._ops = None
+        self.states.clear()
+        self.interned.clear()
+        self.bases.clear()
         self.terms = 0
-        self.hits = self.misses = 0
 
 
-_hadamard_gate_memo = _GateMemo(HADAMARD_GATE_MEMO_TERMS)
+_memo = _OpMemo(MEMO_TERMS)
+#: what _known returns for an op a state has not stored
+_MISSING = object()
 _coeffs = operator.attrgetter("coeffs")
 
 
@@ -200,7 +208,7 @@ class PureState:
     a state one pass it on; the constructor sets it False.
     """
 
-    __slots__ = ("dim", "wires", "scale_exp", "terms", "stabilizer")
+    __slots__ = ("dim", "wires", "scale_exp", "terms", "stabilizer", "_ops", "_recurs")
 
     def __init__(self, dim: int, wires, scale_exp: int, terms) -> None:
         dim = check_integer(dim, "dim")
@@ -234,6 +242,8 @@ class PureState:
         self.scale_exp = scale_exp
         self.terms = clean
         self.stabilizer = False
+        self._ops = None
+        self._recurs = False
 
     @classmethod
     def _derived(
@@ -250,7 +260,40 @@ class PureState:
         state.scale_exp = scale_exp
         state.terms = terms
         state.stabilizer = stabilizer
+        state._ops = None
+        state._recurs = False
         return state
+
+    # -- the op memo -----------------------------------------------------------
+
+    def _known(self, key):
+        """What this state stored under key, or _MISSING; always _MISSING when it is not stored.
+
+        A state it returns is marked as recurring.
+        """
+        ops = self._ops
+        if ops is None:
+            return _MISSING
+        known = ops.get(key, _MISSING)
+        if type(known) is PureState:
+            known._recurs = True
+        return known
+
+    def _keep(self, key, result: PureState, share: bool = True, always: bool = False) -> PureState:
+        """result, stored under key if this state is stored and recurs (or always) and result fits.
+
+        share is False when result's basis tuples are this state's own,
+        which are shared already.
+        """
+        if self._ops is not None and (always or self._recurs) and _memo.admit(result, share):
+            self._ops[key] = result
+        return result
+
+    def _keep_value(self, key, value, size: int, always: bool = False):
+        """value, which holds size terms, stored under key like _keep's result."""
+        if self._ops is not None and (always or self._recurs) and _memo.count(size):
+            self._ops[key] = value
+        return value
 
     # -- construction helpers ------------------------------------------------
 
@@ -297,9 +340,14 @@ class PureState:
         position = check_integer(position, "position")
         if not 0 <= position <= len(self.wires):
             raise ValueError(f"position {position} outside 0..{len(self.wires)}")
+        # the label's type too: 1 == True == 1.0 with equal hashes
+        key = ("insert", wire, type(wire), value, position)
+        known = self._known(key)
+        if known is not _MISSING:
+            return known
         wires = self.wires[:position] + (wire,) + self.wires[position:]
         terms = {b[:position] + (value,) + b[position:]: a for b, a in self.terms.items()}
-        return PureState._derived(self.dim, wires, self.scale_exp, terms, self.stabilizer)
+        return self._keep(key, PureState._derived(self.dim, wires, self.scale_exp, terms, self.stabilizer))
 
     # -- gates ---------------------------------------------------------------
 
@@ -311,12 +359,16 @@ class PureState:
         if ci == ti:
             raise ValueError("control and target must be distinct wires")
         sign = 1 if direction == "right" else -1
+        key = ("shift", ci, ti, sign)
+        known = self._known(key)
+        if known is not _MISSING:
+            return known
         dim = self.dim
         terms = {}
         for basis, amp in self.terms.items():
             shifted = (basis[ti] + sign * basis[ci]) % dim
             terms[basis[:ti] + (shifted,) + basis[ti + 1:]] = amp
-        return PureState._derived(dim, self.wires, self.scale_exp, terms, self.stabilizer)
+        return self._keep(key, PureState._derived(dim, self.wires, self.scale_exp, terms, self.stabilizer))
 
     def apply_hadamard(self, wire: Wire, conjugate: bool = False) -> PureState:
         """Generalized Hadamard on one wire: |j> -> d**-1/2 sum_t zeta**(jt) |t>.
@@ -345,17 +397,16 @@ class PureState:
         drops by 2.
         """
         idx = self.wire_index(wire)
+        # any true value is the conjugate gate, as it always was
+        conjugate = bool(conjugate)
+        key = ("hadamard", idx, conjugate)
+        known = self._known(key)
+        if known is not _MISSING:
+            return known
         dim = self.dim
-        bases = tuple(self.terms)
-        rows = tuple(map(_coeffs, self.terms.values()))
-        key = (dim, idx, conjugate, self.scale_exp, bases, rows)
-        known = _hadamard_gate_memo.get(key)
-        if known is not None:
-            scale_exp, terms = known
-            return PureState._derived(dim, self.wires, scale_exp, dict(terms), self.stabilizer)
         groups: dict[tuple[BasisTuple, BasisTuple], list] = {}
-        for basis, coeffs in zip(bases, rows):
-            groups.setdefault((basis[:idx], basis[idx + 1:]), []).append((basis[idx], coeffs))
+        for basis, amp in self.terms.items():
+            groups.setdefault((basis[:idx], basis[idx + 1:]), []).append((basis[idx], amp.coeffs))
         terms: dict[BasisTuple, CycloElem] = {}
         for (prefix, suffix), members in groups.items():
             for t, amp in _hadamard_group(dim, conjugate, tuple(members)):
@@ -367,8 +418,9 @@ class PureState:
         ):
             terms = {b: CycloElem(dim, [c // dim for c in amp.coeffs]) for b, amp in terms.items()}
             scale_exp -= 2
-        _hadamard_gate_memo.put(key, (scale_exp, terms), len(bases) + len(terms))
-        return PureState._derived(dim, self.wires, scale_exp, dict(terms), self.stabilizer)
+        return self._keep(
+            key, PureState._derived(dim, self.wires, scale_exp, terms, self.stabilizer), always=True
+        )
 
     # -- measurement ---------------------------------------------------------
 
@@ -406,17 +458,31 @@ class PureState:
         c * d**scale_exp / n, with no ring arithmetic.  Any other state
         weighs each branch once with _weight, and its unit is 1.
         """
+        key = ("split", idx)
+        known = self._known(key)
+        if known is not _MISSING:
+            return known
         split: dict[int, dict] = {}
         for basis, amp in self.terms.items():
             split.setdefault(basis[idx], {})[basis] = amp
         if not split:
             raise ValueError("cannot measure a zero state")
+        if len(split) == 1:  # a deterministic wire: the one branch is the whole state
+            split = {v: self.terms for v in split}
+        n = len(self.terms)
         if self.stabilizer:
-            n = len(self.terms)
             outcomes = [(v, split[v], len(split[v])) for v in sorted(split)]
-            return outcomes, n, Fraction(self.dim**self.scale_exp, n)
+            return self._keep_value(key, (outcomes, n, Fraction(self.dim**self.scale_exp, n)), n)
         outcomes = [(v, split[v], self._weight(split[v])) for v in sorted(split)]
-        return outcomes, sum(w for _, _, w in outcomes), Fraction(1)
+        return self._keep_value(key, (outcomes, sum(w for _, _, w in outcomes), Fraction(1)), n)
+
+    def _branch(self, idx: int, value: int, branch: dict, weight: Fraction) -> PureState:
+        """The collapse of _outcomes(idx)'s branch for value, whose stored weight is weight."""
+        key = ("collapse", idx, value)
+        known = self._known(key)
+        if known is not _MISSING:
+            return known
+        return self._keep(key, self._collapse(branch, weight), share=False)
 
     def measurement_distribution(self, wire: Wire) -> dict[int, Fraction]:
         """Exact Born probabilities for a computational measurement of wire."""
@@ -425,9 +491,10 @@ class PureState:
 
     def branches(self, wire: Wire) -> list[tuple[int, PureState, Fraction]]:
         """Every (outcome, collapsed renormalized state, exact probability), in outcome order."""
-        outcomes, total, unit = self._outcomes(self.wire_index(wire))
+        idx = self.wire_index(wire)
+        outcomes, total, unit = self._outcomes(idx)
         return [
-            (v, self._collapse(branch, share * unit), Fraction(share, total))
+            (v, self._branch(idx, v, branch, share * unit), Fraction(share, total))
             for v, branch, share in outcomes
         ]
 
@@ -476,33 +543,40 @@ class PureState:
         the total share, compared as num * total < running * den: plain
         ints on a flagged state.
         """
-        outcomes, total, unit = self._outcomes(self.wire_index(wire))
+        idx = self.wire_index(wire)
+        outcomes, total, unit = self._outcomes(idx)
         num, den = rng.random().as_integer_ratio()
         bound, running = num * total, 0  # the draw is below 1: the loop always breaks
         for outcome, branch, share in outcomes:
             running += share
             if bound < running * den:
                 break
-        return outcome, self._collapse(branch, share * unit), Fraction(share, total)
+        return outcome, self._branch(idx, outcome, branch, share * unit), Fraction(share, total)
 
     def deterministic_outcome(self, wire: Wire) -> int | None:
         """The single value wire takes in every term, or None if it varies."""
         idx = self.wire_index(wire)
+        key = ("value", idx)
+        known = self._known(key)
+        if known is not _MISSING:
+            return known
         values = {b[idx] for b in self.terms}
-        if len(values) == 1:
-            return values.pop()
-        return None
+        return self._keep_value(key, values.pop() if len(values) == 1 else None, 0)
 
     def drop_wire(self, wire: Wire) -> PureState:
         """Remove a wire whose value is the same in every term."""
         if self.deterministic_outcome(wire) is None:
             raise ValueError(f"wire {wire!r} is not deterministic; cannot drop it")
         idx = self.wire_index(wire)
+        key = ("drop", idx)
+        known = self._known(key)
+        if known is not _MISSING:
+            return known
         if len(self.wires) == 1:
             raise ValueError("cannot drop the last wire of a state")
         wires = self.wires[:idx] + self.wires[idx + 1:]
         terms = {b[:idx] + b[idx + 1:]: a for b, a in self.terms.items()}
-        return PureState._derived(self.dim, wires, self.scale_exp, terms, self.stabilizer)
+        return self._keep(key, PureState._derived(self.dim, wires, self.scale_exp, terms, self.stabilizer))
 
     # -- aggregates ----------------------------------------------------------
 
@@ -676,7 +750,7 @@ def bell_state(dim: int, wires: tuple[Wire, Wire] = (ALICE_WIRE, BOB_WIRE)) -> P
     one = CycloElem.one(check_integer(dim, "dim"))
     state = PureState(dim, wires, 1, {(j, j): one for j in range(dim)})
     state.stabilizer = True
-    return state
+    return intern(state)
 
 
 def basis_state(dim: int, wire_values) -> PureState:
@@ -686,7 +760,34 @@ def basis_state(dim: int, wire_values) -> PureState:
     values = tuple(v for _, v in pairs)
     state = PureState(dim, wires, 0, {values: CycloElem.one(check_integer(dim, "dim"))})
     state.stabilizer = True
-    return state
+    return intern(state)
+
+
+def intern(state: PureState) -> PureState:
+    """The stored state with state's content: state itself, stored, when there is none yet.
+
+    The content is (dim, wires, scale_exp, stabilizer flag, basis tuples
+    in term order, their coefficient tuples).  A stored state keeps the
+    answer as an op, so its content is hashed once.  A state too large
+    for the memo's bound comes back unstored.
+    """
+    known = state._known("intern")
+    if known is not _MISSING:
+        return known
+    terms = state.terms
+    key = (
+        state.dim, state.wires, state.scale_exp, state.stabilizer,
+        tuple(terms), tuple(map(_coeffs, terms.values())),
+    )
+    canonical = _memo.interned.get(key)
+    if canonical is None:
+        # a full memo empties itself and takes state on the second try
+        if state._ops is None and not (_memo.admit(state, True) or _memo.admit(state, True)):
+            return state
+        _memo.interned[key] = canonical = state
+    else:
+        canonical._recurs = True
+    return state._keep_value("intern", canonical, 0, always=True)
 
 
 # -- comparison ----------------------------------------------------------------
@@ -696,25 +797,41 @@ def first_difference(a: PureState, b: PureState) -> str | None:
     """None when a and b are the same vector, else the first basis state where they differ.
 
     The line names the basis state by wire label, in a's wire order, and
-    gives both exact amplitudes with their global factors.  The factors
-    are aligned by writing their ratio as a ring element; when the field
-    holds no such element, the states differ on every basis state where
-    either is nonzero.
+    gives both exact amplitudes with their global factors.  With equal
+    scale_exp the term dicts are compared directly: amplitudes are
+    canonical and nonzero, so they are equal exactly when the vectors
+    are.  Otherwise the factors are aligned by writing their ratio as a
+    ring element; when the field holds no such element, the states differ
+    on every basis state where either is nonzero.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
     if set(a.wires) != set(b.wires):
         raise ValueError(f"wire sets differ: {a.wires} vs {b.wires}")
-    perm = tuple(b.wires.index(w) for w in a.wires)
-    b_terms = {tuple(basis[i] for i in perm): amp for basis, amp in b.terms.items()}
-    ratio = sqrt_rational(a.dim, Fraction(a.dim) ** (a.scale_exp - b.scale_exp))
+    if a is b:
+        return None
+    if a.wires == b.wires:
+        b_terms = b.terms
+    else:
+        perm = tuple(b.wires.index(w) for w in a.wires)
+        b_terms = {tuple(basis[i] for i in perm): amp for basis, amp in b.terms.items()}
     zero = CycloElem.zero(a.dim)
-    differing = [
-        basis
-        for basis in a.terms.keys() | b_terms.keys()
-        if ratio is None
-        or a.terms.get(basis, zero) != b_terms.get(basis, zero) * ratio
-    ]
+    if a.scale_exp == b.scale_exp:
+        if a.terms == b_terms:
+            return None
+        differing = [
+            basis
+            for basis in a.terms.keys() | b_terms.keys()
+            if a.terms.get(basis, zero) != b_terms.get(basis, zero)
+        ]
+    else:
+        ratio = sqrt_rational(a.dim, Fraction(a.dim) ** (a.scale_exp - b.scale_exp))
+        differing = [
+            basis
+            for basis in a.terms.keys() | b_terms.keys()
+            if ratio is None
+            or a.terms.get(basis, zero) != b_terms.get(basis, zero) * ratio
+        ]
     if not differing:
         return None
     basis = min(differing)

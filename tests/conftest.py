@@ -32,3 +32,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         name, passed = _criteria[num]
         verdict = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"ACCEPTANCE {num:2d} ({name}): {verdict}")
+
+
+@pytest.fixture(autouse=True)
+def cold_op_memo():
+    """Start every test with an empty op memo, as a fresh process does.
+
+    Interned states are shared across calls, so without this a test's
+    memo hits and counts would depend on which tests ran before it.
+    """
+    from qkdlab import register
+
+    register._memo.clear()

@@ -572,9 +572,10 @@ class TestDenseSessionOracle:
     Every branch of every round is walked on both sides: each stage that
     _round yields and the next shared state match the dense vectors, and
     after each round every history's probability from exact_outcomes
-    matches the dense walk's.  Interception in every round makes d**2
-    branches a round from round 2 on, so that case stops once a walk
-    would pass 512 branches.
+    matches the dense walk's.  The sparse walk runs three times, so the
+    later walks read states the op memo stored.  Interception in every
+    round makes d**2 branches a round from round 2 on, so that case stops
+    once a walk would pass 512 branches.
     """
 
     @pytest.mark.parametrize("dim", range(2, 6))
@@ -586,29 +587,33 @@ class TestDenseSessionOracle:
         if case == "intercept":
             rounds = max(r for r in range(1, 6) if dim ** (2 * r - 1) <= 512)
         key = tuple(int(x) for x in philox(dim, stream=29).integers(0, dim, rounds))
-        walk = [((), bell_state(dim), dense_bell(dim), 1.0)]
-        for index, dit in enumerate(key, start=1):
-            nxt = []
-            for history, state, dense, p in walk:
-                want = {
-                    (value, outcome): (stages, shared, q)
-                    for stages, value, outcome, shared, q in dense_round(
-                        dense, index, dit, kind, attacked
-                    )
-                }
-                got = list(_round(state, index, dit, strategy, PureState.branches))
-                assert sorted(want) == sorted((value, outcome) for _, value, outcome, _, _ in got)
-                for states, value, outcome, shared, q in got:
-                    stages, dense_shared, dense_q = want[value, outcome]
-                    assert len(states) == len(stages)
-                    for s, d in zip([*states, shared], [*stages, dense_shared]):
-                        _assert_dense_close(s, d)
-                    assert abs(float(q) - dense_q) <= 1e-12
-                    nxt.append((history + ((value, outcome),), shared, dense_shared, p * dense_q))
-            walk = nxt
-            histories = {}
-            for history, _, _, p in walk:
-                histories[history] = histories.get(history, 0.0) + p
-            exact = exact_outcomes(dim, key[:index], make_strategy())
-            assert exact.keys() == histories.keys()
-            assert max(abs(float(p) - histories[h]) for h, p in exact.items()) <= 1e-12
+        dense_rounds = {}  # (history, round index) -> dense branches by (value, outcome)
+        for _ in range(3):
+            walk = [((), bell_state(dim), dense_bell(dim), 1.0)]
+            for index, dit in enumerate(key, start=1):
+                nxt = []
+                for history, state, dense, p in walk:
+                    if (history, index) not in dense_rounds:
+                        dense_rounds[history, index] = {
+                            (value, outcome): (stages, shared, q)
+                            for stages, value, outcome, shared, q in dense_round(
+                                dense, index, dit, kind, attacked
+                            )
+                        }
+                    want = dense_rounds[history, index]
+                    got = list(_round(state, index, dit, strategy, PureState.branches))
+                    assert sorted(want) == sorted((v, o) for _, v, o, _, _ in got)
+                    for states, value, outcome, shared, q in got:
+                        stages, dense_shared, dense_q = want[value, outcome]
+                        assert len(states) == len(stages)
+                        for s, d in zip([*states, shared], [*stages, dense_shared]):
+                            _assert_dense_close(s, d)
+                        assert abs(float(q) - dense_q) <= 1e-12
+                        nxt.append((history + ((value, outcome),), shared, dense_shared, p * dense_q))
+                walk = nxt
+                histories = {}
+                for history, _, _, p in walk:
+                    histories[history] = histories.get(history, 0.0) + p
+                exact = exact_outcomes(dim, key[:index], make_strategy())
+                assert exact.keys() == histories.keys()
+                assert max(abs(float(p) - histories[h]) for h, p in exact.items()) <= 1e-12

@@ -30,20 +30,20 @@ from qkdlab.protocol import (
     transcript_to_json_dict,
 )
 from qkdlab.register import (
-    HADAMARD_GATE_MEMO_TERMS,
     HADAMARD_GROUP_CACHE_SIZE,
+    MEMO_TERMS,
     DensityMatrixSlice,
     PureState,
     basis_state,
     bell_state,
     first_difference,
-    _GateMemo,
-    _hadamard_gate_memo,
+    intern,
     _hadamard_group,
+    _OpMemo,
     state_equals,
 )
 from qkdlab import register, ring
-from qkdlab.ring import CycloElem, rational_value, zeta_pow
+from qkdlab.ring import CycloElem, rational_value, sqrt_rational, zeta_pow
 
 
 def mono(dim, value, exponent=0):
@@ -194,6 +194,69 @@ class TestTensor:
             bell_state(3).tensor(bell_state(3))
 
 
+def recurring(state):
+    """state's interned copy, marked as recurring, so the op memo keeps every op on it."""
+    intern(state)
+    return intern(state)
+
+
+class TestOpMemo:
+    def test_arguments_are_validated_before_the_lookup(self):
+        # True == 1 == np.int64(1) with equal hashes: a memoized call must
+        # refuse, convert and read them exactly as a cold one does
+        cold, warm = unflagged_bell(3), recurring(bell_state(3))
+        results = []
+        for st in (cold, warm):
+            one = st.insert_wire("k", 1, 2)
+            with pytest.raises(ValueError, match=r"^value must be an integer, got True$"):
+                st.insert_wire("k", True, 2)
+            with pytest.raises(ValueError, match=r"^position must be an integer, got True$"):
+                st.insert_wire("k", 1, True)
+            two = st.insert_wire("k", np.int64(2), np.uint8(2))
+            assert {type(v) for b in two.terms for v in b} == {int}
+            # a label equal to another of a different type stays the caller's
+            assert [type(st.insert_wire(label, 0, 2).wires[2]) for label in (1, True)] == [int, bool]
+            gates = [st.apply_hadamard("a", conjugate=c) for c in (1, True, np.bool_(True), 0)]
+            assert gates[0].to_json_dict() == gates[1].to_json_dict() == gates[2].to_json_dict()
+            assert gates[0].to_json_dict() != gates[3].to_json_dict()
+            results.append([s.to_json_dict() for s in (one, two, *gates)])
+        assert results[0] == results[1]
+        # the warm state stored each result once, under its validated arguments
+        assert warm.insert_wire("k", np.int64(2), 2) is warm.insert_wire("k", 2, 2)
+        assert warm.apply_hadamard("a", conjugate=1) is warm.apply_hadamard("a", conjugate=True)
+        assert cold._ops is None
+
+    def test_sessions_share_stage_objects(self):
+        # two 5-round attacked sessions at d=5 whose keys agree in round 1:
+        # from round 2 on their shared states are one interned object, so
+        # their basis-change stages are too, and both match the closed forms
+        dim = 5
+        keys = [(1, 0, 2, 1, 2), (1, 4, 3, 0, 2)]
+        sessions = [
+            run_session(ProtocolConfig(dim, 5, key, rng_seed=seed), GaoAttack())
+            for seed, key in enumerate(keys)
+        ]
+        stages = [{label: st for r in s.rounds for label, st in r.stages} for s in sessions]
+        shared = [label for label in stages[0] if stages[0][label] is stages[1][label]]
+        assert {"psi_2_0", "psi_3_0", "psi_4_0", "psi_5_0"} <= set(shared)
+        for key, by_label in zip(keys, stages):
+            expected = eavesdrop_stage_states(dim, key)
+            assert by_label.keys() == expected.keys()
+            assert all(state_equals(by_label[label], want) for label, want in expected.items())
+
+    def test_cheap_ops_are_kept_once_a_state_recurs(self):
+        # a state seen for the first time keeps only its Fourier gates; once
+        # the memo hands it out again, every op on it is kept
+        st = intern(PureState(3, ("a", "b"), 1, {(j, j): CycloElem.one(3) for j in range(3)}))
+        gate = st.apply_hadamard("a")
+        shifted = st.apply_controlled_shift("a", "b")
+        assert st.apply_hadamard("a") is gate
+        assert st.apply_controlled_shift("a", "b") is not shifted
+        assert recurring(st) is st
+        assert st.apply_controlled_shift("a", "b") is st.apply_controlled_shift("a", "b")
+        assert set(st._ops) == {"intern", ("hadamard", 0, False), ("shift", 0, 1, 1)}
+
+
 class TestInsertWire:
     def test_adjoin_key_qudit_after_bob(self):
         bell = bell_state(3)
@@ -329,17 +392,17 @@ class TestHadamard:
 
     @pytest.mark.parametrize("dim", range(2, 10))
     def test_matches_reference_hadamard(self, dim):
-        # cold: both memos cleared, so every group is computed afresh
+        # cold: the group memo and the op memo are emptied before every gate
         self.check_against_reference(dim, "cold")
 
     @pytest.mark.parametrize("dim", range(2, 10))
     def test_matches_reference_hadamard_warm(self, dim):
-        # group-warm: the gate memo is cleared, and every group comes from the group memo
+        # group-warm: the input is not stored, and every group comes from the group memo
         self.check_against_reference(dim, "group-warm")
 
     @pytest.mark.parametrize("dim", range(2, 10))
     def test_matches_reference_hadamard_gate_warm(self, dim):
-        # gate-warm: the second call is a whole-gate hit
+        # gate-warm: the input is stored, and the second call is an op-memo hit
         self.check_against_reference(dim, "gate-warm")
 
     @staticmethod
@@ -368,28 +431,28 @@ class TestHadamard:
                     for conjugate in (False, True):
                         if mode == "cold":
                             _hadamard_group.cache_clear()
-                            _hadamard_gate_memo.clear()
-                        else:
-                            first = st.apply_hadamard(wire, conjugate=conjugate)
-                            if mode == "group-warm":
-                                _hadamard_gate_memo.clear()
+                            register._memo.clear()
+                            st = intern(st)
+                            assert st._ops == {"intern": st}
+                        elif mode == "group-warm":
+                            st.apply_hadamard(wire, conjugate=conjugate)
                             groups = _hadamard_group.cache_info()
-                            gates = (_hadamard_gate_memo.hits, _hadamard_gate_memo.misses)
+                        else:
+                            st = intern(st)
+                            first = st.apply_hadamard(wire, conjugate=conjugate)
+                            groups = _hadamard_group.cache_info()
                         got = st.apply_hadamard(wire, conjugate=conjugate)
-                        if mode == "group-warm":
+                        if mode == "cold":
+                            # the result is stored under the validated arguments
+                            assert st._ops[("hadamard", st.wire_index(wire), conjugate)] is got
+                        elif mode == "group-warm":
                             after = _hadamard_group.cache_info()
                             assert after.misses == groups.misses and after.hits > groups.hits
-                            assert _hadamard_gate_memo.misses == gates[1] + 1
-                        elif mode == "gate-warm":
+                            assert st._ops is None and got._ops is None
+                        else:
+                            # the stored state itself, with no group looked up
+                            assert got is first and got._ops is not None
                             assert _hadamard_group.cache_info() == groups
-                            assert (_hadamard_gate_memo.hits, _hadamard_gate_memo.misses) == (
-                                gates[0] + 1,
-                                gates[1],
-                            )
-                            # the same terms in the same order, in a dict of the state's own
-                            assert list(got.terms.items()) == list(first.terms.items())
-                            again = st.apply_hadamard(wire, conjugate=conjugate)
-                            assert len({id(first.terms), id(got.terms), id(again.terms)}) == 3
                         want = reference_hadamard(st, wire, conjugate=conjugate)
                         assert got.to_json_dict() == want.to_json_dict()
                         folded += got.scale_exp < st.scale_exp + 1
@@ -414,8 +477,9 @@ class TestHadamard:
 
     def test_gate_memo_keeps_dim_wire_conjugate_and_scale_apart(self):
         # the same basis values and coefficients (padded with zeros at d=5)
-        # under each key field in turn: every call misses once, then hits,
-        # and both give the reference result
+        # under each key field in turn: interning keeps dim and scale_exp
+        # apart, the op key wire and conjugate; every call computes once,
+        # then returns the stored result, and both give the reference result
         def state(dim, scale_exp):
             pad = (0,) * (dim - 3)
             terms = {(0, 1): (2, 0, 0), (2, 0): (0, 3, 0), (1, 1): (0, 0, 1)}
@@ -423,104 +487,132 @@ class TestHadamard:
                 dim, ("x", "y"), scale_exp, {b: CycloElem(dim, c + pad) for b, c in terms.items()}
             )
 
+        register._memo.clear()
+        inputs = [intern(state(dim, scale_exp)) for dim in (3, 5) for scale_exp in (0, 2)]
+        assert len(set(map(id, inputs))) == 4
         calls = [
-            (state(dim, scale_exp), wire, conjugate)
-            for dim in (3, 5)
-            for scale_exp in (0, 2)
+            (st, wire, conjugate)
+            for st in inputs
             for wire in ("x", "y")
             for conjugate in (False, True)
         ]
-        _hadamard_gate_memo.clear()
         results = []
         for st, wire, conjugate in calls:
             got = st.apply_hadamard(wire, conjugate=conjugate)
             assert got.to_json_dict() == reference_hadamard(st, wire, conjugate).to_json_dict()
-            results.append(got.to_json_dict())
-        assert _hadamard_gate_memo.misses == len(calls) == len(_hadamard_gate_memo.entries)
-        assert len({json.dumps(r) for r in results}) == len(calls)
+            results.append(got)
+        assert len({json.dumps(r.to_json_dict()) for r in results}) == len(calls)
+        assert sum(len(st._ops) - 1 for st in inputs) == len(calls)  # less each "intern" entry
         for (st, wire, conjugate), want in zip(calls, results):
-            assert st.apply_hadamard(wire, conjugate=conjugate).to_json_dict() == want
-        assert _hadamard_gate_memo.hits == len(calls)
-        assert _hadamard_gate_memo.misses == len(calls)
+            assert st.apply_hadamard(wire, conjugate=conjugate) is want
+        # an equal state built again is the stored one
+        assert intern(state(5, 2)) is inputs[3]
 
     def test_gate_memo_hit_carries_the_callers_wires(self):
+        # interning keys on wires and the flag: states with one vector under
+        # other labels, or without the flag, never share an op result
         terms = {(0, 1): CycloElem(3, (1, 0, 0)), (2, 2): CycloElem(3, (0, 1, 0))}
-        _hadamard_gate_memo.clear()
-        first = PureState(3, ("x", "y"), 1, terms).apply_hadamard("x")
-        other = PureState(3, ("e", "a"), 1, terms)
-        got = other.apply_hadamard("e")
-        assert (_hadamard_gate_memo.hits, _hadamard_gate_memo.misses) == (1, 1)
-        assert got.wires == ("e", "a") and first.wires == ("x", "y")
-        assert got.to_json_dict() == reference_hadamard(other, "e").to_json_dict()
+        register._memo.clear()
+        first = intern(PureState(3, ("x", "y"), 1, terms))
+        other = intern(PureState(3, ("e", "a"), 1, terms))
+        flagged = PureState(3, ("x", "y"), 1, terms)
+        flagged.stabilizer = True
+        flagged = intern(flagged)
+        assert len({id(first), id(other), id(flagged)}) == 3
+        got = [st.apply_hadamard(st.wires[0]) for st in (first, other, flagged)]
+        assert [g.wires for g in got] == [("x", "y"), ("e", "a"), ("x", "y")]
+        assert [g.stabilizer for g in got] == [False, False, True]
+        assert got[1].to_json_dict() == reference_hadamard(other, "e").to_json_dict()
 
     def test_memo_is_bounded(self):
         info = _hadamard_group.cache_info()
         assert info.maxsize is not None
         assert info.maxsize == HADAMARD_GROUP_CACHE_SIZE
-        assert _hadamard_gate_memo.budget == HADAMARD_GATE_MEMO_TERMS
+        assert register._memo.budget == MEMO_TERMS
 
     def test_gate_memo_holds_at_most_its_budget(self):
-        # a 13-round attacked session at d=11: entries of up to 2 * 11**3 terms;
-        # an entry's size is its input's term count plus its output's
+        # a 13-round attacked session at d=11, run until its measured states
+        # recur: the memo counts the terms of every stored state and of
+        # every stored measurement split
         dim, rounds = 11, 13
         key = tuple(int(x) for x in philox(113, stream=1).integers(0, dim, rounds))
-        _hadamard_gate_memo.clear()
-        run_session(ProtocolConfig(dim, rounds, key, rng_seed=113), GaoAttack())
-        sizes = []
-        for key_, (scale_exp, terms) in _hadamard_gate_memo.entries.items():
-            assert len(key_[4]) == len(key_[5])
-            sizes.append(len(key_[4]) + len(terms))
-        assert max(sizes) > dim**3
-        assert _hadamard_gate_memo.terms == sum(sizes) <= HADAMARD_GATE_MEMO_TERMS
+        register._memo.clear()
+        for _ in range(3):
+            run_session(ProtocolConfig(dim, rounds, key, rng_seed=113), GaoAttack())
+        memo = register._memo
+        splits = [
+            len(st.terms)
+            for st in memo.states
+            for op in st._ops
+            if op[0] == "split"
+        ]
+        sizes = [len(st.terms) for st in memo.states]
+        assert max(sizes) >= dim**3 and splits
+        assert memo.terms == sum(sizes) + sum(splits) <= MEMO_TERMS
+        # every stored basis tuple is the shared table's object
+        assert all(memo.bases[b] is b for st in memo.states for b in st.terms)
 
     def test_gate_memo_evicts_within_a_small_budget(self, monkeypatch):
-        # with room for a few d=5 entries only, the memo empties when full and
-        # every transcript is the one the full-size memo gives
+        # with room for a few d=5 states only, the memo empties every table
+        # when full, and every transcript is the one the full-size memo gives
         dim, rounds = 5, 13
         key = tuple(int(x) for x in philox(55, stream=1).integers(0, dim, rounds))
         config = ProtocolConfig(dim, rounds, key, rng_seed=55)
+        register._memo.clear()
         want = transcript_to_json_dict(run_session(config, GaoAttack()))
-        small = _GateMemo(2 * dim**3 + 3 * dim**2)
-        monkeypatch.setattr(register, "_hadamard_gate_memo", small)
+        small = _OpMemo(2 * dim**3 + 3 * dim**2)
+        monkeypatch.setattr(register, "_memo", small)
+        emptied = []
+        original_clear = _OpMemo.clear
+
+        def watched_clear(memo):
+            emptied.append(list(memo.states))
+            original_clear(memo)
+            assert not (memo.states or memo.interned or memo.bases or memo.terms)
+
+        monkeypatch.setattr(_OpMemo, "clear", watched_clear)
         assert transcript_to_json_dict(run_session(config, GaoAttack())) == want
+        assert small.overflows == len(emptied) > 0
         assert 0 < small.terms <= small.budget
-        assert len(small.entries) < small.misses
-        # an entry that overflows by one term leaves only itself, though
-        # dropping one older entry would have made room
-        small.clear()
-        small.put("a", None, 1)
-        small.put("b", None, 1)
-        small.put("new", None, small.budget - 1)
-        assert list(small.entries) == ["new"] and small.terms == small.budget - 1
-        # an entry larger than the whole budget is not stored
-        small.clear()
-        small.put("big", None, small.budget + 1)
-        assert not small.entries and small.terms == 0
+        # no state keeps a table past an emptying that dropped it
+        assert all(st._ops is None for states in emptied for st in states)
+        # a state larger than the whole budget is never stored
+        large = PureState(dim, ("x", "y", "z"), 0, {b: CycloElem.one(dim) for b in np.ndindex(5, 5, 5)})
+        small.budget = len(large.terms) - 1
+        assert intern(large) is large and large._ops is None
 
     def test_gate_memo_never_empties_under_attacked_d7_traffic(self):
         # the design rests on this: 13-round d=7 gao sessions, one for every
-        # first key dit q_1, keep their gate inputs far within the budget, so
-        # every miss is still held
+        # first key dit q_1, stay far within the budget; repeated, they store
+        # more only while their states are first seen to recur, and then
+        # nothing, with the same transcripts throughout
         dim, rounds = 7, 13
-        _hadamard_gate_memo.clear()
+        register._memo.clear()
+        overflows = register._memo.overflows
+        configs = []
         for q1 in range(dim):
             rest = philox(700 + q1, stream=1).integers(0, dim, rounds - 1)
             key = (q1, *(int(x) for x in rest))
-            run_session(ProtocolConfig(dim, rounds, key, rng_seed=700 + q1), GaoAttack())
-        assert _hadamard_gate_memo.hits > 0
-        assert _hadamard_gate_memo.terms < HADAMARD_GATE_MEMO_TERMS // 8
-        assert _hadamard_gate_memo.misses == len(_hadamard_gate_memo.entries)
+            configs.append(ProtocolConfig(dim, rounds, key, rng_seed=700 + q1))
+        want = [transcript_to_json_dict(run_session(c, GaoAttack())) for c in configs]
+        stored = [len(register._memo.states)]
+        while len(stored) < 3 or stored[-1] != stored[-2]:
+            assert len(stored) < 40
+            assert [transcript_to_json_dict(run_session(c, GaoAttack())) for c in configs] == want
+            stored.append(len(register._memo.states))
+        assert register._memo.overflows == overflows
+        assert register._memo.terms < MEMO_TERMS // 4
 
     def test_gao_gate_misses_do_not_grow_with_rounds(self):
         # from round 2 on the shared state recurs with period 4, so a
-        # 101-round session meets no gate input that a 13-round one did not
-        misses = []
+        # 101-round session stores no gate that a 13-round one did not
+        gates = []
         for rounds in (13, 101):
             key = tuple(int(x) for x in philox(rounds, stream=1).integers(0, 5, rounds))
-            _hadamard_gate_memo.clear()
+            register._memo.clear()
             run_session(ProtocolConfig(5, rounds, key, rng_seed=rounds), GaoAttack())
-            misses.append(_hadamard_gate_memo.misses)
-        assert misses[0] == misses[1]
+            gates.append(sum(op[0] == "hadamard" for st in register._memo.states for op in st._ops))
+        assert gates[0] == gates[1]
 
     def test_gao_session_decodes_key_at_d11(self):
         # 13 rounds at d=11 through the memo: Bob reads the key, and Eve's odd
@@ -1000,10 +1092,10 @@ class TestStabilizerFlag:
              "branches", "measure"],
     )
     def test_steps_pass_the_flag_on(self, step):
-        # the gate memo keys on the vector alone: a hit on an entry that the
-        # other kind of state stored still carries the caller's flag
+        # a flagged and an unflagged state with one vector, in both orders:
+        # the op memo never hands one of them the other's result
         for first, second in ((bell_state(3), unflagged_bell(3)), (unflagged_bell(3), bell_state(3))):
-            _hadamard_gate_memo.clear()
+            register._memo.clear()
             for state in (first, second):
                 assert step(state).stabilizer is state.stabilizer
 
@@ -1161,6 +1253,27 @@ class TestReducedDensity:
         assert is_hermitian(rho)
 
 
+def _ring_first_difference(a, b):
+    """first_difference as it was with no fast path: b's amplitudes times the factor ratio."""
+    perm = tuple(b.wires.index(w) for w in a.wires)
+    b_terms = {tuple(basis[i] for i in perm): amp for basis, amp in b.terms.items()}
+    ratio = sqrt_rational(a.dim, Fraction(a.dim) ** (a.scale_exp - b.scale_exp))
+    zero = CycloElem.zero(a.dim)
+    differing = [
+        basis
+        for basis in a.terms.keys() | b_terms.keys()
+        if ratio is None or a.terms.get(basis, zero) != b_terms.get(basis, zero) * ratio
+    ]
+    if not differing:
+        return None
+    basis = min(differing)
+    labels = ", ".join(f"{w}={v}" for w, v in zip(a.wires, basis))
+    return (
+        f"basis ({labels}): ({a.terms.get(basis, zero)}) * {a.dim}^(-{a.scale_exp}/2)"
+        f" != ({b_terms.get(basis, zero)}) * {b.dim}^(-{b.scale_exp}/2)"
+    )
+
+
 class TestStateEquals:
     def test_recurrence_after_four_rounds(self):
         assert state_equals(STAGES3["psi_5_1"], STAGES3["psi_1_1"])
@@ -1233,6 +1346,32 @@ class TestStateEquals:
                     for item in labels:
                         idx = idx * 3 + int(item.split("=")[1])
                     assert abs(vx[idx] - vy[idx]) > 1e-9
+
+    @pytest.mark.parametrize("dim", range(2, 8))
+    def test_first_difference_fast_path_agrees_with_ring_path(self, dim):
+        # every pair of closed-form stages on one wire set, the second as
+        # given, with its wires reversed, and stored with amplitudes times d
+        # and scale_exp + 2 (so the exponents differ): the result is the
+        # ring-arithmetic comparison's, and the same vector is found equal
+        # however it is stored
+        key = tuple(int(x) for x in philox(dim, stream=13).integers(0, dim, 5))
+        stages = list(eavesdrop_stage_states(dim, key).values())
+        for x in stages:
+            for y in stages:
+                if set(x.wires) != set(y.wires):
+                    continue
+                reversed_y = y.reorder_wires(reversed(y.wires))
+                variants = [y, reversed_y] + [
+                    PureState(dim, v.wires, v.scale_exp + 2, {b: a * dim for b, a in v.terms.items()})
+                    for v in (y, reversed_y)
+                ]
+                verdicts = set()
+                for v in variants:
+                    got = first_difference(x, v)
+                    assert got == _ring_first_difference(x, v)
+                    verdicts.add(got is None)
+                assert len(verdicts) == 1
+        assert first_difference(stages[0], stages[0]) is None
 
     def test_first_difference_line_is_exact(self):
         bell = bell_state(3)
