@@ -26,25 +26,34 @@ cached CycloElems are immutable, so states share them.  The cache holds
 at most HADAMARD_GROUP_CACHE_SIZE keys, a constant; the least recently
 used go first.
 
-In front of the group memo sits a memo of the whole gate.  The protocol's
-states recur: honest rounds leave the Bell state fixed, and the attack's
-ancilla mirrors the basis change, whose Fourier gate has order 4, so from
-round 2 on the shared state returns to the same few vectors.  The key is
-(d, wire index, conjugate, scale_exp, the basis tuples in term order,
-their coefficient tuples in the same order) and the value is the
-output's scale_exp and terms.  A hit is exact: coefficient tuples are
-canonical and basis values are plain ints (the constructor and
-insert_wire refuse a bool and turn numpy integers into int), so equal
-keys are equal input vectors written in the same term order, and the hit
-returns a copy of the terms a fresh computation would give, in the same
-order, under the caller's own wire labels and stabilizer flag.  The memo
-is bounded by the terms it holds, input plus output, since one entry
-holds from d to d**3 of them: it keeps at most HADAMARD_GATE_MEMO_TERMS,
-a constant, and empties itself when an entry would take it past that.
-No eviction order would pay for its code: no benchmark workload fills the memo
-(2,000 attacked d=7 sessions keep 44 entries, 11,872 terms), and from
-d=29 on a session's 14 distinct inputs do not fit at all, so in their
-period-4 cycle least-recently-used order too drops the entry needed next.
+Every operation on a state the protocol has seen before is one dict
+lookup.  The protocol's states recur: honest rounds leave the Bell state
+fixed, and the attack's ancilla mirrors the basis change, whose Fourier
+gate has order 4, so from round 2 on the shared state returns to the
+same few vectors, in this session and in the next.  intern keeps one
+canonical state per content (dim, wires, scale_exp, stabilizer flag,
+basis tuples in term order, coefficient tuples); bell_state, basis_state
+and protocol._round, for the next shared state, go through it, so a
+recurring vector is one object.  An interned state is stored: its _ops
+table maps (op, validated arguments) to the result, which is stored in
+turn.  The ops are apply_hadamard, apply_controlled_shift, insert_wire,
+drop_wire, deterministic_outcome, a wire's split by _outcomes, and the
+collapse of one branch, made lazily when a draw or branches asks for it.
+Arguments are validated before the lookup (True == 1 and hashes alike),
+and a state's own wires and flag are part of what it is, so a hit returns
+exactly the state a fresh computation would give, in the same term order.
+A stored state keeps its Fourier gates at once: they cost d times their
+output.  It keeps its other ops, which cost about as much as storing
+them, only once it recurs, that is once the memo or intern has handed it
+out again; an input that never repeats then pays for no more than its
+gates.  States built by the public constructor, read by from_json_dict,
+or made by tensor or reorder_wires are never stored, and their ops are
+computed afresh.  The states the ops store share their basis tuples
+through one table.  The memo counts the terms of its stored states and splits, and
+when one more would take it past MEMO_TERMS, a constant, it empties
+every table together, so no entry outlives the state it names.  States
+share objects across sessions, so terms is read-only by contract:
+nothing outside the constructors writes to it.
 
 Born weights (|amplitude|**2 summed over some terms) are in the state's
 stored units, without the factor d**-scale_exp: every probability is a
@@ -108,8 +117,9 @@ ANCILLA_WIRE: Wire = "e"
 #: at d=23 ru_maxrss of six sessions grows by 7 MB (47 -> 54), where 4096 adds 12
 HADAMARD_GROUP_CACHE_SIZE = 2048
 
-#: Terms the op memo holds over all its stored states and measurement splits.  A
-#: 13-round attacked session stores XXX
+#: Terms the op memo holds, over its stored states and measurement splits.  A 13-round
+#: attacked session run three times keeps 2,765 at d=7, 36,917 at d=19 and 119,277 at
+#: d=29; from d=31 on one session fills it, and it empties about once a session
 MEMO_TERMS = 1 << 17
 
 
@@ -158,8 +168,13 @@ class _OpMemo:
         self.overflows = 0
 
     def count(self, size: int) -> bool:
-        """Take size more terms; False, after emptying every table, when they do not fit."""
+        """Take size more terms; False, after emptying every table, when they do not fit.
+
+        More terms than the whole budget empty nothing: they never fit.
+        """
         if self.terms + size > self.budget:
+            if size > self.budget:
+                return False
             self.overflows += 1
             self.clear()
             return False
@@ -198,6 +213,7 @@ class PureState:
 
     terms maps basis tuples (one dit per wire, in wire order) to nonzero
     CycloElem amplitudes; the vector is d**(-scale_exp/2) * sum(amp |basis>).
+    terms is read-only: stored states share it and the op memo keeps it.
     Normalized states satisfy norm_squared() == 1;
     the constructor does not enforce this so that intermediate values of
     unitary rewrites can exist.
@@ -373,19 +389,12 @@ class PureState:
     def apply_hadamard(self, wire: Wire, conjugate: bool = False) -> PureState:
         """Generalized Hadamard on one wire: |j> -> d**-1/2 sum_t zeta**(jt) |t>.
 
-        conjugate=True applies the entry-wise conjugate transform (phases
-        zeta**(-jt)).  The whole gate is memoized on (d, wire index,
-        conjugate, scale_exp, the basis tuples in term order, their
-        coefficient tuples).  Coefficient tuples are canonical and basis
-        values plain ints, so equal keys are equal input vectors in the
-        same term order, and a hit returns the stored output's scale_exp
-        and a copy of its terms under this state's wires and flag, with no grouping
-        and no fold.  The memo keeps its own dict, so no state shares it,
-        and holds at most HADAMARD_GATE_MEMO_TERMS terms, input plus output;
-        a result that would take it past that empties it first (the module
-        docstring says why no eviction order pays).
+        conjugate=True (any true value) applies the entry-wise conjugate
+        transform (phases zeta**(-jt)).  A stored state returns the gate it
+        stored under (wire index, conjugate), and stores a new one (the
+        module docstring describes the op memo).
 
-        On a miss the terms are grouped by their other wires; each group's
+        Otherwise the terms are grouped by their other wires; each group's
         nonzero outputs come from _hadamard_group, memoized on (d,
         conjugate, members) with members the group's (j, coeffs) pairs in
         term order.  Equal keys are equal input rows, so a hit returns
@@ -467,8 +476,6 @@ class PureState:
             split.setdefault(basis[idx], {})[basis] = amp
         if not split:
             raise ValueError("cannot measure a zero state")
-        if len(split) == 1:  # a deterministic wire: the one branch is the whole state
-            split = {v: self.terms for v in split}
         n = len(self.terms)
         if self.stabilizer:
             outcomes = [(v, split[v], len(split[v])) for v in sorted(split)]
@@ -655,7 +662,7 @@ def check_integer(value, name: str) -> int:
     """value as an int; a bool, a float or any other non-integer raises ValueError naming name.
 
     Basis values go through it too: True == 1 with equal hashes, so a bool
-    would share a Hadamard memo key with 1 and be written to JSON as true.
+    would share an op memo key with 1 and be written to JSON as true.
     """
     if not isinstance(value, bool):
         try:
@@ -781,8 +788,9 @@ def intern(state: PureState) -> PureState:
     )
     canonical = _memo.interned.get(key)
     if canonical is None:
-        # a full memo empties itself and takes state on the second try
-        if state._ops is None and not (_memo.admit(state, True) or _memo.admit(state, True)):
+        # a full memo empties itself and takes state on the second try; the
+        # key holds state's basis tuples, so they are not swapped for shared ones
+        if state._ops is None and not (_memo.admit(state, False) or _memo.admit(state, False)):
             return state
         _memo.interned[key] = canonical = state
     else:

@@ -549,8 +549,14 @@ class TestHadamard:
         sizes = [len(st.terms) for st in memo.states]
         assert max(sizes) >= dim**3 and splits
         assert memo.terms == sum(sizes) + sum(splits) <= MEMO_TERMS
-        # every stored basis tuple is the shared table's object
-        assert all(memo.bases[b] is b for st in memo.states for b in st.terms)
+        # the states the ops build hold the shared table's basis tuples
+        built = [
+            made
+            for st in memo.states
+            for op, made in st._ops.items()
+            if op[0] in ("hadamard", "shift", "insert", "drop")
+        ]
+        assert built and all(memo.bases[b] is b for st in built for b in st.terms)
 
     def test_gate_memo_evicts_within_a_small_budget(self, monkeypatch):
         # with room for a few d=5 states only, the memo empties every table
@@ -579,7 +585,9 @@ class TestHadamard:
         # a state larger than the whole budget is never stored
         large = PureState(dim, ("x", "y", "z"), 0, {b: CycloElem.one(dim) for b in np.ndindex(5, 5, 5)})
         small.budget = len(large.terms) - 1
+        held, overflows = small.terms, small.overflows
         assert intern(large) is large and large._ops is None
+        assert (small.terms, small.overflows) == (held, overflows)
 
     def test_gate_memo_never_empties_under_attacked_d7_traffic(self):
         # the design rests on this: 13-round d=7 gao sessions, one for every
