@@ -162,7 +162,9 @@ def _round(
 
     The states are the shared basis change (with the adversary's basis
     hook), pre_encode, post_encode, every state the transit hook
-    produced, and post_decode, which Bob measures through measure.
+    produced, and post_decode, which Bob measures through measure.  The
+    next shared state is interned, so one that recurs, as the attacked
+    state does with period 4, is one object whose gates are memo lookups.
     """
     basis = state.apply_hadamard(ALICE_WIRE).apply_hadamard(BOB_WIRE, conjugate=True)
     basis = strategy.on_basis_change(basis, round_index)

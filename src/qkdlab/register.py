@@ -26,7 +26,7 @@ cached CycloElems are immutable, so states share them.  The cache holds
 at most HADAMARD_GROUP_CACHE_SIZE keys, a constant; the least recently
 used go first.
 
-Every operation on a state the protocol has seen before is one dict
+A Fourier gate on a state the protocol has seen before is one dict
 lookup.  The protocol's states recur: honest rounds leave the Bell state
 fixed, and the attack's ancilla mirrors the basis change, whose Fourier
 gate has order 4, so from round 2 on the shared state returns to the
@@ -34,26 +34,23 @@ same few vectors, in this session and in the next.  intern keeps one
 canonical state per content (dim, wires, scale_exp, stabilizer flag,
 basis tuples in term order, coefficient tuples); bell_state, basis_state
 and protocol._round, for the next shared state, go through it, so a
-recurring vector is one object.  An interned state is stored: its _ops
-table maps (op, validated arguments) to the result, which is stored in
-turn.  The ops are apply_hadamard, apply_controlled_shift, insert_wire,
-drop_wire, deterministic_outcome, a wire's split by _outcomes, and the
-collapse of one branch, made lazily when a draw or branches asks for it.
-Arguments are validated before the lookup (True == 1 and hashes alike),
-and a state's own wires and flag are part of what it is, so a hit returns
-exactly the state a fresh computation would give, in the same term order.
-A stored state keeps its Fourier gates at once: they cost d times their
-output.  It keeps its other ops, which cost about as much as storing
-them, only once it recurs, that is once the memo or intern has handed it
-out again; an input that never repeats then pays for no more than its
-gates.  States built by the public constructor, read by from_json_dict,
-or made by tensor or reorder_wires are never stored, and their ops are
-computed afresh.  The states the ops store share their basis tuples
-through one table.  The memo counts the terms of its stored states and splits, and
-when one more would take it past MEMO_TERMS, a constant, it empties
-every table together, so no entry outlives the state it names.  States
-share objects across sessions, so terms is read-only by contract:
-nothing outside the constructors writes to it.
+recurring vector is one object, hashed once per round.  An interned
+state is stored: its _ops table maps ("hadamard", wire index, conjugate)
+to the gate's result, which is stored in turn, so a round's chain of
+basis-change gates is found by identity, with no key to hash and no
+copy.  conjugate is read as a bool before the lookup, and a state's own
+wires and flag are part of what it is, so a hit returns exactly the
+state a fresh computation would give, in the same term order.  The
+other ops (the controlled shift, insert_wire, drop_wire, measurement)
+cost about one pass over the terms and are computed afresh: the memo
+does not keep their results.  States built by the public constructor,
+read by from_json_dict, or made by tensor or reorder_wires are never
+stored.  The gates the memo stores share their basis tuples through one
+table.  The memo counts the terms of its stored states, and when one
+more would take it past MEMO_TERMS, a constant, it empties every table
+together, so no entry outlives the state it names.  States share
+objects across sessions, so terms is read-only by contract: nothing
+outside the constructors writes to it.
 
 Born weights (|amplitude|**2 summed over some terms) are in the state's
 stored units, without the factor d**-scale_exp: every probability is a
@@ -117,9 +114,9 @@ ANCILLA_WIRE: Wire = "e"
 #: at d=23 ru_maxrss of six sessions grows by 7 MB (47 -> 54), where 4096 adds 12
 HADAMARD_GROUP_CACHE_SIZE = 2048
 
-#: Terms the op memo holds, over its stored states and measurement splits.  A 13-round
-#: attacked session run three times keeps 2,765 at d=7, 36,917 at d=19 and 119,277 at
-#: d=29; from d=31 on one session fills it, and it empties about once a session
+#: Terms the op memo holds over its stored states.  A 13-round attacked session keeps
+#: 1,855 at d=7, 53,567 at d=23 and 127,999 at d=31; 2,000 d=7 sessions with random
+#: keys keep 6,335
 MEMO_TERMS = 1 << 17
 
 
@@ -150,11 +147,10 @@ def _hadamard_group(dim: int, conjugate: bool, members: tuple) -> tuple[tuple[in
 class _OpMemo:
     """The op tables of stored states, the interned states and the shared basis tuples.
 
-    A stored state's _ops maps (op, validated arguments) to the stored
-    result.  terms counts the terms of every stored state and measurement
-    split; when one more would take it past budget, every table is
-    emptied together, so no entry outlives the state it names.
-    overflows counts those emptyings.
+    A stored state's _ops maps an op key to the stored result.  terms
+    counts the terms of every stored state; when one more would take it
+    past budget, every table is emptied together, so no entry outlives
+    the state it names.  overflows counts those emptyings.
     """
 
     __slots__ = ("budget", "states", "interned", "bases", "terms", "overflows")
@@ -167,29 +163,24 @@ class _OpMemo:
         self.terms = 0
         self.overflows = 0
 
-    def count(self, size: int) -> bool:
-        """Take size more terms; False, after emptying every table, when they do not fit.
+    def admit(self, state: PureState, share: bool) -> bool:
+        """Store state, an unstored one, if its terms fit; share swaps in the shared basis tuples.
 
-        More terms than the whole budget empty nothing: they never fit.
+        When they do not fit, every table is emptied first and False
+        returned.  A state larger than the whole budget empties nothing:
+        it never fits.
         """
+        size = len(state.terms)
         if self.terms + size > self.budget:
-            if size > self.budget:
-                return False
-            self.overflows += 1
-            self.clear()
+            if size <= self.budget:
+                self.overflows += 1
+                self.clear()
             return False
         self.terms += size
-        return True
-
-    def admit(self, state: PureState, share: bool) -> bool:
-        """Store state, an unstored one, if its terms fit; share swaps in the shared basis tuples."""
-        if not self.count(len(state.terms)):
-            return False
         if share:
             known = self.bases.setdefault
             state.terms = {known(b, b): a for b, a in state.terms.items()}
         state._ops = {}
-        state._recurs = False
         self.states.append(state)
         return True
 
@@ -203,8 +194,6 @@ class _OpMemo:
 
 
 _memo = _OpMemo(MEMO_TERMS)
-#: what _known returns for an op a state has not stored
-_MISSING = object()
 _coeffs = operator.attrgetter("coeffs")
 
 
@@ -213,7 +202,8 @@ class PureState:
 
     terms maps basis tuples (one dit per wire, in wire order) to nonzero
     CycloElem amplitudes; the vector is d**(-scale_exp/2) * sum(amp |basis>).
-    terms is read-only: stored states share it and the op memo keeps it.
+    terms is read-only: transcripts share stored states, and the op memo
+    keeps them.
     Normalized states satisfy norm_squared() == 1;
     the constructor does not enforce this so that intermediate values of
     unitary rewrites can exist.
@@ -224,7 +214,7 @@ class PureState:
     a state one pass it on; the constructor sets it False.
     """
 
-    __slots__ = ("dim", "wires", "scale_exp", "terms", "stabilizer", "_ops", "_recurs")
+    __slots__ = ("dim", "wires", "scale_exp", "terms", "stabilizer", "_ops")
 
     def __init__(self, dim: int, wires, scale_exp: int, terms) -> None:
         dim = check_integer(dim, "dim")
@@ -259,7 +249,6 @@ class PureState:
         self.terms = clean
         self.stabilizer = False
         self._ops = None
-        self._recurs = False
 
     @classmethod
     def _derived(
@@ -277,39 +266,20 @@ class PureState:
         state.terms = terms
         state.stabilizer = stabilizer
         state._ops = None
-        state._recurs = False
         return state
 
     # -- the op memo -----------------------------------------------------------
 
-    def _known(self, key):
-        """What this state stored under key, or _MISSING; always _MISSING when it is not stored.
-
-        A state it returns is marked as recurring.
-        """
+    def _known(self, key) -> PureState | None:
+        """The state this state stored under key; None when there is none or it is not stored."""
         ops = self._ops
-        if ops is None:
-            return _MISSING
-        known = ops.get(key, _MISSING)
-        if type(known) is PureState:
-            known._recurs = True
-        return known
+        return None if ops is None else ops.get(key)
 
-    def _keep(self, key, result: PureState, share: bool = True, always: bool = False) -> PureState:
-        """result, stored under key if this state is stored and recurs (or always) and result fits.
-
-        share is False when result's basis tuples are this state's own,
-        which are shared already.
-        """
-        if self._ops is not None and (always or self._recurs) and _memo.admit(result, share):
+    def _keep(self, key, result: PureState) -> PureState:
+        """result, stored under key when this state is stored and result's terms fit."""
+        if self._ops is not None and _memo.admit(result, True):
             self._ops[key] = result
         return result
-
-    def _keep_value(self, key, value, size: int, always: bool = False):
-        """value, which holds size terms, stored under key like _keep's result."""
-        if self._ops is not None and (always or self._recurs) and _memo.count(size):
-            self._ops[key] = value
-        return value
 
     # -- construction helpers ------------------------------------------------
 
@@ -356,14 +326,9 @@ class PureState:
         position = check_integer(position, "position")
         if not 0 <= position <= len(self.wires):
             raise ValueError(f"position {position} outside 0..{len(self.wires)}")
-        # the label's type too: 1 == True == 1.0 with equal hashes
-        key = ("insert", wire, type(wire), value, position)
-        known = self._known(key)
-        if known is not _MISSING:
-            return known
         wires = self.wires[:position] + (wire,) + self.wires[position:]
         terms = {b[:position] + (value,) + b[position:]: a for b, a in self.terms.items()}
-        return self._keep(key, PureState._derived(self.dim, wires, self.scale_exp, terms, self.stabilizer))
+        return PureState._derived(self.dim, wires, self.scale_exp, terms, self.stabilizer)
 
     # -- gates ---------------------------------------------------------------
 
@@ -375,24 +340,20 @@ class PureState:
         if ci == ti:
             raise ValueError("control and target must be distinct wires")
         sign = 1 if direction == "right" else -1
-        key = ("shift", ci, ti, sign)
-        known = self._known(key)
-        if known is not _MISSING:
-            return known
         dim = self.dim
         terms = {}
         for basis, amp in self.terms.items():
             shifted = (basis[ti] + sign * basis[ci]) % dim
             terms[basis[:ti] + (shifted,) + basis[ti + 1:]] = amp
-        return self._keep(key, PureState._derived(dim, self.wires, self.scale_exp, terms, self.stabilizer))
+        return PureState._derived(dim, self.wires, self.scale_exp, terms, self.stabilizer)
 
     def apply_hadamard(self, wire: Wire, conjugate: bool = False) -> PureState:
         """Generalized Hadamard on one wire: |j> -> d**-1/2 sum_t zeta**(jt) |t>.
 
         conjugate=True (any true value) applies the entry-wise conjugate
         transform (phases zeta**(-jt)).  A stored state returns the gate it
-        stored under (wire index, conjugate), and stores a new one (the
-        module docstring describes the op memo).
+        stored under (wire index, conjugate), and stores a new one; the
+        module docstring describes the op memo.
 
         Otherwise the terms are grouped by their other wires; each group's
         nonzero outputs come from _hadamard_group, memoized on (d,
@@ -410,7 +371,7 @@ class PureState:
         conjugate = bool(conjugate)
         key = ("hadamard", idx, conjugate)
         known = self._known(key)
-        if known is not _MISSING:
+        if known is not None:
             return known
         dim = self.dim
         groups: dict[tuple[BasisTuple, BasisTuple], list] = {}
@@ -427,9 +388,7 @@ class PureState:
         ):
             terms = {b: CycloElem(dim, [c // dim for c in amp.coeffs]) for b, amp in terms.items()}
             scale_exp -= 2
-        return self._keep(
-            key, PureState._derived(dim, self.wires, scale_exp, terms, self.stabilizer), always=True
-        )
+        return self._keep(key, PureState._derived(dim, self.wires, scale_exp, terms, self.stabilizer))
 
     # -- measurement ---------------------------------------------------------
 
@@ -467,29 +426,18 @@ class PureState:
         c * d**scale_exp / n, with no ring arithmetic.  Any other state
         weighs each branch once with _weight, and its unit is 1.
         """
-        key = ("split", idx)
-        known = self._known(key)
-        if known is not _MISSING:
-            return known
         split: dict[int, dict] = {}
         for basis, amp in self.terms.items():
             split.setdefault(basis[idx], {})[basis] = amp
         if not split:
             raise ValueError("cannot measure a zero state")
-        n = len(self.terms)
         if self.stabilizer:
+            n = len(self.terms)
             outcomes = [(v, split[v], len(split[v])) for v in sorted(split)]
-            return self._keep_value(key, (outcomes, n, Fraction(self.dim**self.scale_exp, n)), n)
+            return outcomes, n, Fraction(self.dim**self.scale_exp, n)
         outcomes = [(v, split[v], self._weight(split[v])) for v in sorted(split)]
-        return self._keep_value(key, (outcomes, sum(w for _, _, w in outcomes), Fraction(1)), n)
+        return outcomes, sum(w for _, _, w in outcomes), Fraction(1)
 
-    def _branch(self, idx: int, value: int, branch: dict, weight: Fraction) -> PureState:
-        """The collapse of _outcomes(idx)'s branch for value, whose stored weight is weight."""
-        key = ("collapse", idx, value)
-        known = self._known(key)
-        if known is not _MISSING:
-            return known
-        return self._keep(key, self._collapse(branch, weight), share=False)
 
     def measurement_distribution(self, wire: Wire) -> dict[int, Fraction]:
         """Exact Born probabilities for a computational measurement of wire."""
@@ -498,10 +446,9 @@ class PureState:
 
     def branches(self, wire: Wire) -> list[tuple[int, PureState, Fraction]]:
         """Every (outcome, collapsed renormalized state, exact probability), in outcome order."""
-        idx = self.wire_index(wire)
-        outcomes, total, unit = self._outcomes(idx)
+        outcomes, total, unit = self._outcomes(self.wire_index(wire))
         return [
-            (v, self._branch(idx, v, branch, share * unit), Fraction(share, total))
+            (v, self._collapse(branch, share * unit), Fraction(share, total))
             for v, branch, share in outcomes
         ]
 
@@ -550,40 +497,33 @@ class PureState:
         the total share, compared as num * total < running * den: plain
         ints on a flagged state.
         """
-        idx = self.wire_index(wire)
-        outcomes, total, unit = self._outcomes(idx)
+        outcomes, total, unit = self._outcomes(self.wire_index(wire))
         num, den = rng.random().as_integer_ratio()
         bound, running = num * total, 0  # the draw is below 1: the loop always breaks
         for outcome, branch, share in outcomes:
             running += share
             if bound < running * den:
                 break
-        return outcome, self._branch(idx, outcome, branch, share * unit), Fraction(share, total)
+        return outcome, self._collapse(branch, share * unit), Fraction(share, total)
 
     def deterministic_outcome(self, wire: Wire) -> int | None:
         """The single value wire takes in every term, or None if it varies."""
         idx = self.wire_index(wire)
-        key = ("value", idx)
-        known = self._known(key)
-        if known is not _MISSING:
-            return known
         values = {b[idx] for b in self.terms}
-        return self._keep_value(key, values.pop() if len(values) == 1 else None, 0)
+        if len(values) == 1:
+            return values.pop()
+        return None
 
     def drop_wire(self, wire: Wire) -> PureState:
         """Remove a wire whose value is the same in every term."""
         if self.deterministic_outcome(wire) is None:
             raise ValueError(f"wire {wire!r} is not deterministic; cannot drop it")
         idx = self.wire_index(wire)
-        key = ("drop", idx)
-        known = self._known(key)
-        if known is not _MISSING:
-            return known
         if len(self.wires) == 1:
             raise ValueError("cannot drop the last wire of a state")
         wires = self.wires[:idx] + self.wires[idx + 1:]
         terms = {b[:idx] + b[idx + 1:]: a for b, a in self.terms.items()}
-        return self._keep(key, PureState._derived(self.dim, wires, self.scale_exp, terms, self.stabilizer))
+        return PureState._derived(self.dim, wires, self.scale_exp, terms, self.stabilizer)
 
     # -- aggregates ----------------------------------------------------------
 
@@ -662,7 +602,7 @@ def check_integer(value, name: str) -> int:
     """value as an int; a bool, a float or any other non-integer raises ValueError naming name.
 
     Basis values go through it too: True == 1 with equal hashes, so a bool
-    would share an op memo key with 1 and be written to JSON as true.
+    would share an intern key with 1 and be written to JSON as true.
     """
     if not isinstance(value, bool):
         try:
@@ -775,11 +715,11 @@ def intern(state: PureState) -> PureState:
 
     The content is (dim, wires, scale_exp, stabilizer flag, basis tuples
     in term order, their coefficient tuples).  A stored state keeps the
-    answer as an op, so its content is hashed once.  A state too large
-    for the memo's bound comes back unstored.
+    answer in its op table, so its content is hashed once.  A state too
+    large for the memo's bound comes back unstored.
     """
     known = state._known("intern")
-    if known is not _MISSING:
+    if known is not None:
         return known
     terms = state.terms
     key = (
@@ -793,9 +733,9 @@ def intern(state: PureState) -> PureState:
         if state._ops is None and not (_memo.admit(state, False) or _memo.admit(state, False)):
             return state
         _memo.interned[key] = canonical = state
-    else:
-        canonical._recurs = True
-    return state._keep_value("intern", canonical, 0, always=True)
+    if state._ops is not None:
+        state._ops["intern"] = canonical
+    return canonical
 
 
 # -- comparison ----------------------------------------------------------------
