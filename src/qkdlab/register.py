@@ -268,19 +268,6 @@ class PureState:
         state._ops = None
         return state
 
-    # -- the op memo -----------------------------------------------------------
-
-    def _known(self, key) -> PureState | None:
-        """The state this state stored under key; None when there is none or it is not stored."""
-        ops = self._ops
-        return None if ops is None else ops.get(key)
-
-    def _keep(self, key, result: PureState) -> PureState:
-        """result, stored under key when this state is stored and result's terms fit."""
-        if self._ops is not None and _memo.admit(result, True):
-            self._ops[key] = result
-        return result
-
     # -- construction helpers ------------------------------------------------
 
     def wire_index(self, wire: Wire) -> int:
@@ -370,7 +357,8 @@ class PureState:
         # any true value is the conjugate gate, as it always was
         conjugate = bool(conjugate)
         key = ("hadamard", idx, conjugate)
-        known = self._known(key)
+        ops = self._ops
+        known = None if ops is None else ops.get(key)
         if known is not None:
             return known
         dim = self.dim
@@ -388,7 +376,11 @@ class PureState:
         ):
             terms = {b: CycloElem(dim, [c // dim for c in amp.coeffs]) for b, amp in terms.items()}
             scale_exp -= 2
-        return self._keep(key, PureState._derived(dim, self.wires, scale_exp, terms, self.stabilizer))
+        result = PureState._derived(dim, self.wires, scale_exp, terms, self.stabilizer)
+        # admit empties every table, this state's too, when result does not fit
+        if ops is not None and _memo.admit(result, True):
+            ops[key] = result
+        return result
 
     # -- measurement ---------------------------------------------------------
 
@@ -714,13 +706,9 @@ def intern(state: PureState) -> PureState:
     """The stored state with state's content: state itself, stored, when there is none yet.
 
     The content is (dim, wires, scale_exp, stabilizer flag, basis tuples
-    in term order, their coefficient tuples).  A stored state keeps the
-    answer in its op table, so its content is hashed once.  A state too
-    large for the memo's bound comes back unstored.
+    in term order, their coefficient tuples).  A state too large for the
+    memo's bound comes back unstored.
     """
-    known = state._known("intern")
-    if known is not None:
-        return known
     terms = state.terms
     key = (
         state.dim, state.wires, state.scale_exp, state.stabilizer,
@@ -733,8 +721,6 @@ def intern(state: PureState) -> PureState:
         if state._ops is None and not (_memo.admit(state, False) or _memo.admit(state, False)):
             return state
         _memo.interned[key] = canonical = state
-    if state._ops is not None:
-        state._ops["intern"] = canonical
     return canonical
 
 

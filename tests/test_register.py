@@ -210,7 +210,7 @@ class TestOpMemo:
         assert results[0] == results[1]
         # the stored state keeps one gate per validated flag
         assert len({id(warm.apply_hadamard("a", conjugate=c)) for c in flags}) == 2
-        assert set(warm._ops) == {"intern", ("hadamard", 0, True), ("hadamard", 0, False)}
+        assert set(warm._ops) == {("hadamard", 0, True), ("hadamard", 0, False)}
         assert cold._ops is None
 
     def test_sessions_share_stage_objects(self):
@@ -246,7 +246,7 @@ class TestOpMemo:
         for step in steps:
             first, second = step(), step()
             assert first is not second and first._ops is None
-        assert set(st._ops) == {"intern", ("hadamard", 0, False)}
+        assert set(st._ops) == {("hadamard", 0, False)}
 
 
 class TestInsertWire:
@@ -425,7 +425,7 @@ class TestHadamard:
                             _hadamard_group.cache_clear()
                             register._memo.clear()
                             st = intern(st)
-                            assert st._ops == {"intern": st}
+                            assert st._ops == {}
                         elif mode == "group-warm":
                             st.apply_hadamard(wire, conjugate=conjugate)
                             groups = _hadamard_group.cache_info()
@@ -494,7 +494,7 @@ class TestHadamard:
             assert got.to_json_dict() == reference_hadamard(st, wire, conjugate).to_json_dict()
             results.append(got)
         assert len({json.dumps(r.to_json_dict()) for r in results}) == len(calls)
-        assert sum(len(st._ops) - 1 for st in inputs) == len(calls)  # less each "intern" entry
+        assert sum(len(st._ops) for st in inputs) == len(calls)
         for (st, wire, conjugate), want in zip(calls, results):
             assert st.apply_hadamard(wire, conjugate=conjugate) is want
         # an equal state built again is the stored one
@@ -534,7 +534,7 @@ class TestHadamard:
         assert max(sizes) >= dim**3
         assert memo.terms == sum(sizes) <= MEMO_TERMS
         # the gates hold the shared table's basis tuples
-        gates = [made for st in memo.states for op, made in st._ops.items() if op != "intern"]
+        gates = [made for st in memo.states for made in st._ops.values()]
         assert gates and all(memo.bases[b] is b for st in gates for b in st.terms)
 
     def test_gate_memo_evicts_within_a_small_budget(self, monkeypatch):
