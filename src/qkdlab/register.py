@@ -31,16 +31,16 @@ lookup.  The protocol's states recur: honest rounds leave the Bell state
 fixed, and the attack's ancilla mirrors the basis change, whose Fourier
 gate has order 4, so from round 2 on the shared state returns to the
 same few vectors, in this session and in the next.  intern keeps one
-canonical state per content (dim, wires, scale_exp, stabilizer flag,
-basis tuples in term order, coefficient tuples); bell_state, basis_state
-and protocol._round, for the next shared state, go through it, so a
+canonical state per content (dim, wires, scale_exp, basis tuples in
+term order, coefficient tuples); bell_state, basis_state and
+protocol._round, for the next shared state, go through it, so a
 recurring vector is one object, hashed once per round.  An interned
 state is stored: its _ops table maps ("hadamard", wire index, conjugate)
 to the gate's result, which is stored in turn, so a round's chain of
 basis-change gates is found by identity, with no key to hash and no
 copy.  conjugate is read as a bool before the lookup, and a state's own
-wires and flag are part of what it is, so a hit returns exactly the
-state a fresh computation would give, in the same term order.  The
+wires are part of what it is, so a hit returns exactly the state a
+fresh computation would give, in the same term order.  The
 other ops (the controlled shift, insert_wire, drop_wire, measurement)
 cost about one pass over the terms and are computed afresh: the memo
 does not keep their results.  States built by the public constructor,
@@ -58,35 +58,32 @@ ratio of weights, so the factor cancels.  A measurement splits the state
 once: _outcomes groups the terms by the wire's value in one pass, and
 measurement_distribution, branches and the sampling measurement all read
 it; the sampler draws one outcome and collapses the terms it already
-holds for it.  How a branch is weighed depends on the stabilizer flag.
-bell_state and basis_state set it, and the Fourier gate, the controlled
-shift, insert_wire, drop_wire and a collapse pass it on, so it marks a
-normalized stabilizer state.  Such a state has one |amplitude|**2 on its
-whole support (Gross, arXiv:quant-ph/0602001; de Beaudrap,
-arXiv:1102.3354), so a branch holding c of its n terms weighs
-c * d**scale_exp / n: _outcomes counts terms, with no ring arithmetic,
-and the sampler compares plain ints.  Every other state (built with the
-public constructor, read by from_json_dict, or made by tensor or
-reorder_wires) weighs each branch with _weight, which works on plain rows
-like the Hadamard: each term whose amplitude is sum_i c_i zeta**i adds
-c_i * c_j into row[(i - j) % d], and the row becomes one CycloElem, whose
-constructor reduces it; a weight that is not rational raises ValueError
-naming it with the factor applied.  norm_squared and project weigh rows
-on every state, and only their own terms.  A collapse renormalizes by the
+holds for it.  How the branches are weighed is read from the amplitudes.
+Every +-zeta**k has |amplitude|**2 = 1 exactly, so when every amplitude
+of the state is one of them (ring.signed_root_coeffs, checked once per
+measurement), a branch weighs as many as the terms it holds: _outcomes
+counts terms, with no ring arithmetic, and the sampler compares plain
+ints.  This needs no premise about how the state was made; the states a
+protocol round measures are all of this kind.  Any other state weighs
+each branch with _weight, which works on plain rows like the Hadamard:
+each term whose amplitude is sum_i c_i zeta**i adds c_i * c_j into
+row[(i - j) % d], and the row becomes one CycloElem, whose constructor
+reduces it; a weight that is not rational raises ValueError naming it
+with the factor applied.  norm_squared and project weigh rows on every
+state, and only their own terms.  A collapse renormalizes by the
 branch's stored weight d**j: scale_exp becomes j when j >= 0, and when
 j < 0 the amplitudes are multiplied by d**ceil(-j/2) and scale_exp
 becomes 0 or 1, so the result is the same however the vector is stored.
-Any other weight raises ValueError.  Every Born weight on the protocol's
-stabilizer states is such a power, so no protocol path reaches that
-error.  norm_squared, reduced_density and first_difference apply the
-factor to what they return.
+Any other weight raises ValueError naming it exactly, with the factor
+applied.  Every Born weight on the protocol's states is such a power,
+so no protocol path reaches that error.  norm_squared, reduced_density
+and first_difference apply the factor to what they return.
 
 insert_wire adjoins a wire in a basis state by rebuilding the basis
 tuples, with no ring arithmetic.  The public constructor checks every
-term and leaves the flag off.  Gates, collapses, insert_wire and
-drop_wire build their terms from a state that is already valid, so they
-go through the unchecked PureState._derived instead, which takes the
-flag from its caller.
+term.  Gates, collapses, insert_wire and drop_wire build their terms
+from a state that is already valid, so they go through the unchecked
+PureState._derived instead.
 
 Wires are plain string labels.  The four canonical protocol wires are
 Alice's and Bob's halves of the shared pair, the travelling key qudit,
@@ -99,7 +96,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .ring import CycloElem, rational_value, sqrt_rational
+from .ring import CycloElem, rational_value, signed_root_coeffs, sqrt_rational
 
 Wire = str
 BasisTuple = tuple[int, ...]
@@ -208,13 +205,11 @@ class PureState:
     the constructor does not enforce this so that intermediate values of
     unitary rewrites can exist.
 
-    stabilizer True carries the premise that the state is a normalized
-    stabilizer state, whose Born weights _outcomes then counts.  Only
-    bell_state and basis_state set it, and only operations that keep such
-    a state one pass it on; the constructor sets it False.
+    How a measurement weighs the branches follows from the amplitudes
+    alone: see _outcomes.
     """
 
-    __slots__ = ("dim", "wires", "scale_exp", "terms", "stabilizer", "_ops")
+    __slots__ = ("dim", "wires", "scale_exp", "terms", "_ops")
 
     def __init__(self, dim: int, wires, scale_exp: int, terms) -> None:
         dim = check_integer(dim, "dim")
@@ -247,24 +242,19 @@ class PureState:
         self.wires = wires
         self.scale_exp = scale_exp
         self.terms = clean
-        self.stabilizer = False
         self._ops = None
 
     @classmethod
-    def _derived(
-        cls, dim: int, wires: tuple, scale_exp: int, terms: dict, stabilizer: bool
-    ) -> PureState:
+    def _derived(cls, dim: int, wires: tuple, scale_exp: int, terms: dict) -> PureState:
         # internal fast path, like CycloElem._raw: the caller built terms
         # fresh from a valid state, so every basis tuple fits wires and dim,
         # every amplitude is a nonzero CycloElem of dimension dim, and the
-        # state takes ownership of the dict; stabilizer is True only when
-        # the caller applied a Clifford step to a flagged state
+        # state takes ownership of the dict
         state = object.__new__(cls)
         state.dim = dim
         state.wires = wires
         state.scale_exp = scale_exp
         state.terms = terms
-        state.stabilizer = stabilizer
         state._ops = None
         return state
 
@@ -288,7 +278,7 @@ class PureState:
             for b2, a2 in other.terms.items():
                 terms[b1 + b2] = a1 * a2
         return PureState._derived(
-            self.dim, self.wires + other.wires, self.scale_exp + other.scale_exp, terms, False
+            self.dim, self.wires + other.wires, self.scale_exp + other.scale_exp, terms
         )
 
     def reorder_wires(self, order) -> PureState:
@@ -297,7 +287,7 @@ class PureState:
             raise ValueError(f"{order} is not a permutation of {self.wires}")
         perm = tuple(self.wires.index(w) for w in order)
         terms = {tuple(b[i] for i in perm): amp for b, amp in self.terms.items()}
-        return PureState._derived(self.dim, order, self.scale_exp, terms, False)
+        return PureState._derived(self.dim, order, self.scale_exp, terms)
 
     def insert_wire(self, wire: Wire, value: int, position: int) -> PureState:
         """Adjoin wire in basis state |value> at index position of the wires.
@@ -315,7 +305,7 @@ class PureState:
             raise ValueError(f"position {position} outside 0..{len(self.wires)}")
         wires = self.wires[:position] + (wire,) + self.wires[position:]
         terms = {b[:position] + (value,) + b[position:]: a for b, a in self.terms.items()}
-        return PureState._derived(self.dim, wires, self.scale_exp, terms, self.stabilizer)
+        return PureState._derived(self.dim, wires, self.scale_exp, terms)
 
     # -- gates ---------------------------------------------------------------
 
@@ -332,7 +322,7 @@ class PureState:
         for basis, amp in self.terms.items():
             shifted = (basis[ti] + sign * basis[ci]) % dim
             terms[basis[:ti] + (shifted,) + basis[ti + 1:]] = amp
-        return PureState._derived(dim, self.wires, self.scale_exp, terms, self.stabilizer)
+        return PureState._derived(dim, self.wires, self.scale_exp, terms)
 
     def apply_hadamard(self, wire: Wire, conjugate: bool = False) -> PureState:
         """Generalized Hadamard on one wire: |j> -> d**-1/2 sum_t zeta**(jt) |t>.
@@ -376,7 +366,7 @@ class PureState:
         ):
             terms = {b: CycloElem(dim, [c // dim for c in amp.coeffs]) for b, amp in terms.items()}
             scale_exp -= 2
-        result = PureState._derived(dim, self.wires, scale_exp, terms, self.stabilizer)
+        result = PureState._derived(dim, self.wires, scale_exp, terms)
         # admit empties every table, this state's too, when result does not fit
         if ops is not None and _memo.admit(result, True):
             ops[key] = result
@@ -407,41 +397,36 @@ class PureState:
             shown = weight * Fraction(1, dim**self.scale_exp)
             raise ValueError(f"element is not rational: {shown!r}") from None
 
-    def _outcomes(self, idx: int) -> tuple[list, int | Fraction, Fraction]:
-        """([(value, its terms, their share)] in value order, total share, unit) for wire idx.
+    def _outcomes(self, idx: int) -> tuple[list, int | Fraction]:
+        """([(value, its terms, their Born weight)] in value order, total weight) for wire idx.
 
-        One pass splits the terms by value.  A branch's Born weight in
-        stored units is share * unit and its probability share / total.
-        A flagged stabilizer state has one |amplitude|**2 on its whole
-        support, so its shares are term counts and its unit is
-        d**scale_exp / n for n terms: a branch holding c terms weighs
-        c * d**scale_exp / n, with no ring arithmetic.  Any other state
-        weighs each branch once with _weight, and its unit is 1.
+        One pass splits the terms by value; weights are in stored units,
+        and a branch's probability is its weight / total.  When every
+        amplitude is some +-zeta**k, each has |amplitude|**2 = 1, so a
+        branch weighs its term count, an int, with no ring arithmetic.
+        Otherwise each branch is weighed once with _weight.
         """
         split: dict[int, dict] = {}
         for basis, amp in self.terms.items():
             split.setdefault(basis[idx], {})[basis] = amp
         if not split:
             raise ValueError("cannot measure a zero state")
-        if self.stabilizer:
-            n = len(self.terms)
-            outcomes = [(v, split[v], len(split[v])) for v in sorted(split)]
-            return outcomes, n, Fraction(self.dim**self.scale_exp, n)
+        if signed_root_coeffs(self.dim).issuperset(map(_coeffs, self.terms.values())):
+            return [(v, split[v], len(split[v])) for v in sorted(split)], len(self.terms)
         outcomes = [(v, split[v], self._weight(split[v])) for v in sorted(split)]
-        return outcomes, sum(w for _, _, w in outcomes), Fraction(1)
-
+        return outcomes, sum(w for _, _, w in outcomes)
 
     def measurement_distribution(self, wire: Wire) -> dict[int, Fraction]:
         """Exact Born probabilities for a computational measurement of wire."""
-        outcomes, total, _ = self._outcomes(self.wire_index(wire))
-        return {v: Fraction(share, total) for v, _, share in outcomes}
+        outcomes, total = self._outcomes(self.wire_index(wire))
+        return {v: Fraction(weight, total) for v, _, weight in outcomes}
 
     def branches(self, wire: Wire) -> list[tuple[int, PureState, Fraction]]:
         """Every (outcome, collapsed renormalized state, exact probability), in outcome order."""
-        outcomes, total, unit = self._outcomes(self.wire_index(wire))
+        outcomes, total = self._outcomes(self.wire_index(wire))
         return [
-            (v, self._collapse(branch, share * unit), Fraction(share, total))
-            for v, branch, share in outcomes
+            (v, self._collapse(branch, weight), Fraction(weight, total))
+            for v, branch, weight in outcomes
         ]
 
     def project(self, wire: Wire, outcome: int) -> PureState:
@@ -455,7 +440,7 @@ class PureState:
             raise ValueError(f"outcome {outcome} has zero amplitude on wire {wire!r}")
         return self._collapse(branch, self._weight(branch))
 
-    def _collapse(self, branch: dict, weight: Fraction) -> PureState:
+    def _collapse(self, branch: dict, weight: int | Fraction) -> PureState:
         """The branch terms renormalized by their Born weight in stored units, a power d**j.
 
         For j >= 0 the amplitudes stay and scale_exp becomes j.  For j < 0
@@ -472,31 +457,31 @@ class PureState:
             den //= dim
             j -= 1
         if num != 1 or den != 1:
-            shown = weight / dim**self.scale_exp
+            shown = Fraction(weight, dim**self.scale_exp)
             raise ValueError(f"branch weight {shown} is no power of d={dim} that scale_exp can absorb")
         if j < 0:
             m = (1 - j) // 2
             branch = {b: a * dim**m for b, a in branch.items()}
             j += 2 * m
-        return PureState._derived(dim, self.wires, j, branch, self.stabilizer)
+        return PureState._derived(dim, self.wires, j, branch)
 
     def measure_computational(self, wire: Wire, rng) -> tuple[int, PureState, Fraction]:
         """Sample an outcome with exact Born weights; rng supplies one uniform draw.
 
         Returns the branch of branches(wire) that the draw picks, and
         collapses only that branch.  The draw is exactly num/den, and the
-        pick is the first branch whose running share exceeds num/den times
-        the total share, compared as num * total < running * den: plain
-        ints on a flagged state.
+        pick is the first branch whose running weight exceeds num/den times
+        the total weight, compared as num * total < running * den: plain
+        ints when _outcomes counts terms.
         """
-        outcomes, total, unit = self._outcomes(self.wire_index(wire))
+        outcomes, total = self._outcomes(self.wire_index(wire))
         num, den = rng.random().as_integer_ratio()
         bound, running = num * total, 0  # the draw is below 1: the loop always breaks
-        for outcome, branch, share in outcomes:
-            running += share
+        for outcome, branch, weight in outcomes:
+            running += weight
             if bound < running * den:
                 break
-        return outcome, self._collapse(branch, share * unit), Fraction(share, total)
+        return outcome, self._collapse(branch, weight), Fraction(weight, total)
 
     def deterministic_outcome(self, wire: Wire) -> int | None:
         """The single value wire takes in every term, or None if it varies."""
@@ -515,7 +500,7 @@ class PureState:
             raise ValueError("cannot drop the last wire of a state")
         wires = self.wires[:idx] + self.wires[idx + 1:]
         terms = {b[:idx] + b[idx + 1:]: a for b, a in self.terms.items()}
-        return PureState._derived(self.dim, wires, self.scale_exp, terms, self.stabilizer)
+        return PureState._derived(self.dim, wires, self.scale_exp, terms)
 
     # -- aggregates ----------------------------------------------------------
 
@@ -687,9 +672,7 @@ class DensityMatrixSlice:
 def bell_state(dim: int, wires: tuple[Wire, Wire] = (ALICE_WIRE, BOB_WIRE)) -> PureState:
     """The maximally entangled pair sum_j |j,j> / sqrt(d)."""
     one = CycloElem.one(check_integer(dim, "dim"))
-    state = PureState(dim, wires, 1, {(j, j): one for j in range(dim)})
-    state.stabilizer = True
-    return intern(state)
+    return intern(PureState(dim, wires, 1, {(j, j): one for j in range(dim)}))
 
 
 def basis_state(dim: int, wire_values) -> PureState:
@@ -697,22 +680,19 @@ def basis_state(dim: int, wire_values) -> PureState:
     pairs = list(wire_values)
     wires = tuple(w for w, _ in pairs)
     values = tuple(v for _, v in pairs)
-    state = PureState(dim, wires, 0, {values: CycloElem.one(check_integer(dim, "dim"))})
-    state.stabilizer = True
-    return intern(state)
+    return intern(PureState(dim, wires, 0, {values: CycloElem.one(check_integer(dim, "dim"))}))
 
 
 def intern(state: PureState) -> PureState:
     """The stored state with state's content: state itself, stored, when there is none yet.
 
-    The content is (dim, wires, scale_exp, stabilizer flag, basis tuples
-    in term order, their coefficient tuples).  A state too large for the
-    memo's bound comes back unstored.
+    The content is (dim, wires, scale_exp, basis tuples in term order,
+    their coefficient tuples).  A state too large for the memo's bound
+    comes back unstored.
     """
     terms = state.terms
     key = (
-        state.dim, state.wires, state.scale_exp, state.stabilizer,
-        tuple(terms), tuple(map(_coeffs, terms.values())),
+        state.dim, state.wires, state.scale_exp, tuple(terms), tuple(map(_coeffs, terms.values())),
     )
     canonical = _memo.interned.get(key)
     if canonical is None:

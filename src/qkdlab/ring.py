@@ -76,6 +76,17 @@ def _degree(dim: int) -> int:
     return len(cyclotomic_polynomial(dim)) - 1
 
 
+@lru_cache(maxsize=None)
+def signed_root_coeffs(dim: int) -> frozenset:
+    """The canonical coefficient tuples of +-zeta**k for every k.
+
+    Each of these elements has |element|**2 = 1 exactly, so terms whose
+    amplitudes all lie in this set weigh exactly as many as there are.
+    """
+    roots = [zeta_pow(dim, k) for k in range(dim)]
+    return frozenset(coeffs for root in roots for coeffs in (root.coeffs, (-root).coeffs))
+
+
 def reduce_coeffs(dim: int, coeffs: list) -> tuple:
     """The canonical coefficient tuple of sum_t coeffs[t] * zeta**t.
 

@@ -70,9 +70,17 @@ class FixedDrawRng:
         return self.draw
 
 
-def unflagged_bell(dim):
-    """bell_state(dim)'s vector built with the public constructor, which leaves the flag off."""
+def cold_bell(dim):
+    """bell_state(dim)'s vector built with the public constructor, which never stores it."""
     return PureState(dim, ("a", "b"), 1, {(j, j): CycloElem.one(dim) for j in range(dim)})
+
+
+def gauss_bell():
+    """bell_state(5)'s vector stored as amplitude sqrt(5), the Gauss sum, with scale_exp 2.
+
+    No amplitude is a +-zeta**k, so its measurements weigh rows.
+    """
+    return PureState(5, ("a", "b"), 2, {(j, j): sqrt_rational(5, 5) for j in range(5)})
 
 
 def stage_states(session):
@@ -198,7 +206,7 @@ class TestOpMemo:
     def test_arguments_are_validated_before_the_lookup(self):
         # True == 1 == np.int64(1) with equal hashes: a stored state must read
         # each conjugate flag exactly as a state the memo never stores does
-        cold, warm = unflagged_bell(3), bell_state(3)
+        cold, warm = cold_bell(3), bell_state(3)
         flags = (1, True, np.int64(1), np.bool_(True), 0, False, np.int64(0))
         results = []
         for st in (cold, warm):
@@ -501,19 +509,15 @@ class TestHadamard:
         assert intern(state(5, 2)) is inputs[3]
 
     def test_gate_memo_hit_carries_the_callers_wires(self):
-        # interning keys on wires and the flag: states with one vector under
-        # other labels, or without the flag, never share an op result
+        # interning keys on wires: states with one vector under other labels
+        # never share an op result
         terms = {(0, 1): CycloElem(3, (1, 0, 0)), (2, 2): CycloElem(3, (0, 1, 0))}
         register._memo.clear()
         first = intern(PureState(3, ("x", "y"), 1, terms))
         other = intern(PureState(3, ("e", "a"), 1, terms))
-        flagged = PureState(3, ("x", "y"), 1, terms)
-        flagged.stabilizer = True
-        flagged = intern(flagged)
-        assert len({id(first), id(other), id(flagged)}) == 3
-        got = [st.apply_hadamard(st.wires[0]) for st in (first, other, flagged)]
-        assert [g.wires for g in got] == [("x", "y"), ("e", "a"), ("x", "y")]
-        assert [g.stabilizer for g in got] == [False, False, True]
+        assert first is not other
+        got = [st.apply_hadamard(st.wires[0]) for st in (first, other)]
+        assert [g.wires for g in got] == [("x", "y"), ("e", "a")]
         assert got[1].to_json_dict() == reference_hadamard(other, "e").to_json_dict()
 
     def test_memo_is_bounded(self):
@@ -779,7 +783,8 @@ class TestMeasurement:
     def test_measurement_squares_each_amplitude_once(self, monkeypatch):
         # each branch's |amplitude|**2 sum is one plain row, reduced into one
         # CycloElem; no amplitude is conjugated as a ring element
-        st = unflagged_bell(5)
+        st = gauss_bell()
+        ring.signed_root_coeffs(5)  # built from ring elements once per d, so before counting
         built, conj_calls = [], []
         original_init, original_conj = CycloElem.__init__, CycloElem.conj
 
@@ -809,8 +814,8 @@ class TestMeasurement:
         ids=["measure_computational", "branches", "measurement_distribution"],
     )
     def test_flagged_state_counts_terms(self, monkeypatch, measure):
-        # bell_state is flagged: one split of the state, and its Born weights
-        # are term counts, with no row and no ring element built
+        # bell_state's amplitudes are all 1: one split of the state, and its
+        # Born weights are term counts, with no row and no ring element built
         st = bell_state(5)
         splits, built, weighed = [], [], []
         original_outcomes, original_init = PureState._outcomes, CycloElem.__init__
@@ -832,14 +837,36 @@ class TestMeasurement:
         assert all(p == Fraction(1, 5) for _, _, p in results)
         for v, collapsed, _ in results:
             if collapsed is not None:
-                assert collapsed.stabilizer and collapsed.terms.keys() == {(v, v)}
+                assert collapsed.terms.keys() == {(v, v)}
+
+    def test_row_weighed_bell_measures_as_bell_state(self):
+        # one vector, weighed by rows when stored with amplitude sqrt(5) and
+        # by counting terms when stored with amplitude 1
+        rows, counted = gauss_bell(), bell_state(5)
+        for wire in ("a", "b"):
+            assert rows.measurement_distribution(wire) == counted.measurement_distribution(wire)
+            assert _same(rows.branches(wire), counted.branches(wire))
+            for seed in range(5):
+                assert _same(
+                    rows.measure_computational(wire, random.Random(seed)),
+                    counted.measure_computational(wire, random.Random(seed)),
+                )
+
+
+def all_signed_roots(state):
+    """Whether every amplitude of state is zeta**k or -zeta**k for some k."""
+    roots = [zeta_pow(state.dim, k) for k in range(state.dim)]
+    return all(any(amp in (root, -root) for root in roots) for amp in state.terms.values())
 
 
 @strategies.composite
 def ring_states(draw):
-    """A one- or two-wire state with Fraction amplitudes of 1 to d nonzero coefficients.
+    """A one- or two-wire state whose amplitudes are +-zeta**k or Fractions of 1 to d coefficients.
 
-    Monomial amplitudes give rational Born weights; the others mostly do not.
+    In about half the states every amplitude is a +-zeta**k, so their Born
+    weights are counted; at composite d, zeta**k for k >= phi(d) is reduced
+    to several coefficients.  Monomial amplitudes give rational Born
+    weights; the others mostly do not.
     """
     dim = draw(strategies.integers(2, 12))
     n_wires = draw(strategies.integers(1, 2))
@@ -850,8 +877,14 @@ def ring_states(draw):
     fractions = strategies.builds(
         Fraction, strategies.integers(-6, 6).filter(bool), strategies.integers(1, 4)
     )
+    roots = [zeta_pow(dim, k) for k in range(dim)]
+    signed_roots = strategies.sampled_from(roots + [-root for root in roots])
+    roots_only = draw(strategies.booleans())
     terms = {}
     for basis in bases:
+        if roots_only or draw(strategies.booleans()):
+            terms[basis] = draw(signed_roots)
+            continue
         placed = draw(strategies.dictionaries(
             strategies.integers(0, dim - 1), fractions, min_size=1, max_size=dim
         ))
@@ -895,7 +928,7 @@ class TestBranches:
 
         monkeypatch.setattr(PureState, "_outcomes", counted_outcomes)
         monkeypatch.setattr(PureState, "_weight", counted_weight)
-        state = unflagged_bell(5)
+        state = gauss_bell()
         branches = state.branches("a")
         assert splits == [0]
         assert sorted(weighed) == sorted(state.terms)
@@ -918,11 +951,12 @@ class TestBornWeightRows:
         def weights():
             if idx is None:
                 return {None: state._weight(state.terms)}
-            outcomes, total, unit = state._outcomes(idx)
-            assert unit == 1  # an unflagged state's shares are its weights
+            outcomes, total = state._outcomes(idx)
             assert [v for v, _, _ in outcomes] == sorted(sums)
             assert all(b[idx] == v for v, branch, _ in outcomes for b in branch)
             assert total == sum(w for _, _, w in outcomes)
+            if all_signed_roots(state):  # counted: each weight is its branch's term count
+                assert all(type(w) is int and w == len(branch) for _, branch, w in outcomes)
             return {v: w for v, _, w in outcomes}
 
         if not sums:
@@ -967,7 +1001,9 @@ class TestScaleInvariance:
     @given(ring_states(), strategies.integers(0, 2**32))
     def test_measurements_ignore_how_the_factor_is_stored(self, state, seed):
         # every amplitude times d and scale_exp + 2 is the same vector, so
-        # every measurement must agree, refusal messages included
+        # every measurement must agree, refusal messages included; the copy
+        # has no +-zeta**k amplitude and always weighs rows, so where state's
+        # weights are counted this checks them against row weights
         dim = state.dim
         scaled = PureState(
             dim, state.wires, state.scale_exp + 2, {b: a * dim for b, a in state.terms.items()}
@@ -1024,7 +1060,7 @@ class TestDenseBornOracle:
 
 
 class TestStabilizerFlag:
-    """Flagged states count their Born weights; every other state weighs rows."""
+    """Born weights are counted where every amplitude is +-zeta**k; any other state weighs rows."""
 
     @pytest.mark.parametrize("dim", range(2, 10))
     @pytest.mark.parametrize(
@@ -1033,55 +1069,32 @@ class TestStabilizerFlag:
         ids=["honest", "gao", "intercept", "intercept-round-1"],
     )
     def test_counted_weights_equal_row_weights(self, dim, make_adversary):
+        # every stage state, reloaded from JSON too, and the closed forms,
+        # tensor and reorder_wires results: each share is a counted int equal
+        # to the branch's row weight, so a state that falls back to rows fails
         for rounds in (1, 5, 13):
             key = tuple(int(x) for x in philox(dim, stream=rounds).integers(0, dim, rounds))
             session = run_session(ProtocolConfig(dim, rounds, key, rng_seed=dim), make_adversary())
-            for state in stage_states(session):
-                assert state.stabilizer
+            states = stage_states(session)
+            states += [PureState.from_json_dict(state.to_json_dict()) for state in states]
+            if rounds == 5:
+                states += eavesdrop_stage_states(dim, key).values()
+            final = session.final_shared_state
+            states.append(final.tensor(basis_state(dim, [("z", 1)])))
+            states.append(final.reorder_wires(final.wires[::-1]))
+            for state in states:
                 for idx in range(len(state.wires)):
-                    outcomes, total, unit = state._outcomes(idx)
-                    assert total * unit == state._weight(state.terms)
+                    outcomes, total = state._outcomes(idx)
+                    assert type(total) is int and total == state._weight(state.terms)
                     for _, branch, share in outcomes:
-                        assert share * unit == state._weight(branch)
+                        assert type(share) is int and share == state._weight(branch)
 
     def test_public_constructor_weighs_rows(self):
-        # unequal magnitudes: counting its two terms would give 1/2 each
+        # one amplitude is 1 and one is not a +-zeta**k: counting its two
+        # terms would give 1/2 each
         one = CycloElem.one(3)
         st = PureState(3, ("x",), 0, {(0,): one, (1,): one * 2})
-        assert not st.stabilizer
         assert st.measurement_distribution("x") == {0: Fraction(1, 5), 1: Fraction(4, 5)}
-
-    def test_reloaded_closed_form_and_rewired_states_are_unflagged(self):
-        session = run_session(ProtocolConfig(3, 5, (1, 0, 2, 1, 2), rng_seed=3), GaoAttack())
-        for state in stage_states(session):
-            assert not PureState.from_json_dict(state.to_json_dict()).stabilizer
-            assert "stabilizer" not in state.to_json_dict()
-        assert not any(state.stabilizer for state in STAGES3.values())
-        assert not bell_state(3).tensor(basis_state(3, [("k", 1)])).stabilizer
-        assert not bell_state(3).reorder_wires(("b", "a")).stabilizer
-
-    @pytest.mark.parametrize(
-        "step",
-        [
-            lambda st: st.apply_hadamard("a"),
-            lambda st: st.apply_hadamard("b", conjugate=True),
-            lambda st: st.apply_controlled_shift("a", "b"),
-            lambda st: st.insert_wire("k", 2, 1),
-            lambda st: st.insert_wire("k", 2, 1).drop_wire("k"),
-            lambda st: st.project("a", 1),
-            lambda st: st.branches("a")[2][1],
-            lambda st: st.measure_computational("a", FirstOutcomeRng())[1],
-        ],
-        ids=["hadamard", "hadamard-conjugate", "shift", "insert", "drop", "project",
-             "branches", "measure"],
-    )
-    def test_steps_pass_the_flag_on(self, step):
-        # a flagged and an unflagged state with one vector, in both orders:
-        # the op memo never hands one of them the other's result
-        for first, second in ((bell_state(3), unflagged_bell(3)), (unflagged_bell(3), bell_state(3))):
-            register._memo.clear()
-            for state in (first, second):
-                assert step(state).stabilizer is state.stabilizer
 
 
 def _born_rule_pick(state, wire, draw):
