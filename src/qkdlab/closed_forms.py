@@ -32,9 +32,8 @@ def _uniform(d: int, wires, scale_exp: int, tuples) -> PureState:
 
 
 def _phased(d: int, wires, scale_exp: int, items) -> PureState:
-    return PureState(
-        d, wires, scale_exp, {t: zeta_pow(d, e) for t, e in items}
-    )
+    phases = [zeta_pow(d, e) for e in range(d)]
+    return PureState(d, wires, scale_exp, {t: phases[e % d] for t, e in items})
 
 
 def eavesdrop_stage_states(d: int, key) -> dict[str, PureState]:

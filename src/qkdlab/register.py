@@ -80,10 +80,21 @@ so no protocol path reaches that error.  norm_squared, reduced_density
 and first_difference apply the factor to what they return.
 
 insert_wire adjoins a wire in a basis state by rebuilding the basis
-tuples, with no ring arithmetic.  The public constructor checks every
-term.  Gates, collapses, insert_wire and drop_wire build their terms
-from a state that is already valid, so they go through the unchecked
-PureState._derived instead.
+tuples, with no ring arithmetic.  The public constructor checks the
+whole state at once: _terms_fit makes one pass over the state per check
+(key types, basis value types, tuple lengths, value range, amplitude
+types and dimensions).  Only when one of them fails does _checked_terms
+walk the terms in order, to name the first bad one and turn numpy basis
+values into int.  Gates, collapses, insert_wire and drop_wire build
+their terms from a state that is already valid, so they go through the
+unchecked PureState._derived instead.
+
+JSON repeats few amplitudes: a protocol state holds one or a few
+distinct coefficient tuples over up to d**3 terms.  to_json_dict formats
+each distinct tuple once a call, and gives each term a fresh list of the
+strings.  from_json_dict parses and canonical-checks each distinct list
+of coefficient strings once a call, in a dict that lives for that call
+only, so no table outlives a document or grows with the dim it names.
 
 Wires are plain string labels.  The four canonical protocol wires are
 Alice's and Bob's halves of the shared pair, the travelling key qudit,
@@ -95,6 +106,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .ring import CycloElem, rational_value, signed_root_coeffs, sqrt_rational
 
@@ -192,6 +204,9 @@ class _OpMemo:
 
 _memo = _OpMemo(MEMO_TERMS)
 _coeffs = operator.attrgetter("coeffs")
+_dim = operator.attrgetter("dim")
+_STATE_FIELDS = frozenset(("dim", "wires", "scale_exp", "terms"))
+_TERM_FIELDS = frozenset(("basis", "coeffs"))
 
 
 class PureState:
@@ -222,22 +237,11 @@ class PureState:
             raise ValueError("a state needs at least one wire")
         if isinstance(scale_exp, bool) or not isinstance(scale_exp, int) or scale_exp < 0:
             raise ValueError(f"scale_exp must be a non-negative integer, got {scale_exp}")
-        clean: dict[BasisTuple, CycloElem] = {}
-        for basis, amp in dict(terms).items():
-            basis = tuple(basis)
-            # plain-int tuples, the common case, need no per-item check
-            if not {int}.issuperset(map(type, basis)):
-                basis = tuple(check_integer(v, "basis value") for v in basis)
-            if len(basis) != len(wires):
-                raise ValueError(f"basis tuple {basis} does not match wires {wires}")
-            if any(not 0 <= v < dim for v in basis):
-                raise ValueError(f"basis values out of range for dimension {dim}: {basis}")
-            if not isinstance(amp, CycloElem):
-                raise TypeError(f"amplitude must be CycloElem, got {type(amp).__name__}")
-            if amp.dim != dim:
-                raise ValueError(f"amplitude dimension {amp.dim} does not match state dimension {dim}")
-            if any(amp.coeffs):
-                clean[basis] = amp
+        clean = dict(terms)
+        if not _terms_fit(dim, len(wires), clean):
+            clean = _checked_terms(dim, wires, clean)
+        if not all(map(any, map(_coeffs, clean.values()))):
+            clean = {basis: amp for basis, amp in clean.items() if any(amp.coeffs)}
         self.dim = dim
         self.wires = wires
         self.scale_exp = scale_exp
@@ -527,42 +531,47 @@ class PureState:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """The state as JSON-ready data; each distinct coefficient tuple is formatted once a call."""
+        texts: dict[tuple, tuple[str, ...]] = {}
+        terms = []
+        for basis, amp in sorted(self.terms.items()):
+            text = texts.get(amp.coeffs)
+            if text is None:
+                text = texts[amp.coeffs] = tuple(map(str, amp.coeffs))
+            # a fresh list per term, so editing one term's list changes no other
+            terms.append({"basis": list(basis), "coeffs": list(text)})
         return {
             "dim": self.dim,
             "wires": list(self.wires),
             "scale_exp": self.scale_exp,
-            "terms": [
-                {
-                    "basis": list(basis),
-                    "coeffs": [str(c) for c in self.terms[basis].coeffs],
-                }
-                for basis in sorted(self.terms)
-            ],
+            "terms": terms,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> PureState:
-        """The state to_json_dict wrote; malformed input raises ValueError naming the field."""
-        _json_known_fields(data, ("dim", "wires", "scale_exp", "terms"))
+        """The state to_json_dict wrote; malformed input raises ValueError naming the field.
+
+        Each distinct list of coefficient strings is parsed and checked
+        once a call: amps maps it, as a tuple of plain strs, to its
+        amplitude, and only a list that passed both is stored.
+        """
+        _json_known_fields(data, _STATE_FIELDS)
         dim = _json_field(data, "dim", int)
         terms = {}
+        amps: dict[tuple[str, ...], CycloElem] = {}
         for entry in _json_field(data, "terms", list):
-            _json_known_fields(entry, ("basis", "coeffs"))
+            _json_known_fields(entry, _TERM_FIELDS)
             basis = tuple(_json_field(entry, "basis", list, int))
             if basis in terms:
                 raise ValueError(f"state JSON lists basis {list(basis)} twice")
             coeffs = _json_field(entry, "coeffs", list)
             if len(coeffs) != dim:
                 raise ValueError(f"state JSON field 'coeffs' has {len(coeffs)} entries, not {dim}")
-            values = [_json_fraction(c, "coeffs") for c in coeffs]
-            amp = CycloElem(dim, values)
-            # to_json_dict writes only nonzero canonical amplitudes; any other
-            # vector the constructor would reduce, or drop as zero, unasked
-            if amp.coeffs != tuple(values) or not any(values):
-                raise ValueError(
-                    f"state JSON field 'coeffs' holds {coeffs}, which is no nonzero "
-                    f"amplitude reduced modulo Phi_{dim}"
-                )
+            key = tuple(coeffs)
+            # a str subclass can equal a stored str, but _json_fraction refuses it
+            amp = amps.get(key) if {str}.issuperset(map(type, key)) else None
+            if amp is None:
+                amp = amps[key] = _json_amplitude(dim, coeffs)
             terms[basis] = amp
         wires = _json_field(data, "wires", list, str)
         # __init__ checks scale_exp's type along with its range
@@ -589,23 +598,79 @@ def check_integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _json_known_fields(data, known: tuple[str, ...]) -> None:
-    """Reject keys of data outside known, so no field is silently dropped."""
-    unknown = sorted(set(data).difference(known)) if isinstance(data, dict) else []
-    if unknown:
-        raise ValueError(f"state JSON has unknown field(s) {', '.join(map(repr, unknown))}")
+def _terms_fit(dim: int, width: int, terms: dict) -> bool:
+    """Whether every term passes the constructor's checks, each check one pass over the state.
+
+    Every basis key is a tuple of width plain ints (type int, so no bool
+    and no numpy integer) in range(dim), and every amplitude is a
+    CycloElem (not a subclass) of dimension dim.
+    """
+    bases, amps = terms.keys(), terms.values()
+    if not ({tuple}.issuperset(map(type, bases)) and {width}.issuperset(map(len, bases))):
+        return False
+    values = list(chain.from_iterable(bases))
+    return (
+        {int}.issuperset(map(type, values))
+        and (not values or (min(values) >= 0 and max(values) < dim))
+        and {CycloElem}.issuperset(map(type, amps))
+        and {dim}.issuperset(map(_dim, amps))
+    )
+
+
+def _checked_terms(dim: int, wires: tuple, terms: dict) -> dict:
+    """terms with basis values as int; the first bad term, in term order, raises naming it."""
+    checked = {}
+    for basis, amp in terms.items():
+        basis = tuple(check_integer(v, "basis value") for v in basis)
+        if len(basis) != len(wires):
+            raise ValueError(f"basis tuple {basis} does not match wires {wires}")
+        if any(not 0 <= v < dim for v in basis):
+            raise ValueError(f"basis values out of range for dimension {dim}: {basis}")
+        if not isinstance(amp, CycloElem):
+            raise TypeError(f"amplitude must be CycloElem, got {type(amp).__name__}")
+        if amp.dim != dim:
+            raise ValueError(f"amplitude dimension {amp.dim} does not match state dimension {dim}")
+        checked[basis] = amp
+    return checked
+
+
+def _json_known_fields(data, known: frozenset) -> None:
+    """Reject keys of data outside known, so no field is silently dropped.
+
+    The unknown keys are named in repr order: JSON keys are strings, but
+    a dict built in Python may mix them with ints, which do not sort
+    against strings.
+    """
+    if not isinstance(data, dict) or data.keys() <= known:
+        return
+    unknown = sorted(data.keys() - known, key=repr)
+    raise ValueError(f"state JSON has unknown field(s) {', '.join(map(repr, unknown))}")
 
 
 def _json_field(data, name: str, kind: type | None = None, item: type | None = None):
     """data[name], of exact type kind (no bool for int) and with items of type item."""
-    if not isinstance(data, dict) or name not in data:
-        raise ValueError(f"state JSON has no field {name!r}")
-    value = data[name]
-    if (kind is not None and type(value) is not kind) or (
-        item is not None and any(type(v) is not item for v in value)
-    ):
+    if isinstance(data, dict) and name in data:
+        value = data[name]
+        if (kind is None or type(value) is kind) and (
+            item is None or {item}.issuperset(map(type, value))
+        ):
+            return value
         raise ValueError(f"state JSON field {name!r} has the wrong type: {value!r}")
-    return value
+    raise ValueError(f"state JSON has no field {name!r}")
+
+
+def _json_amplitude(dim: int, coeffs: list) -> CycloElem:
+    """The amplitude whose d coefficient strings to_json_dict wrote; any other list raises."""
+    values = [_json_fraction(c, "coeffs") for c in coeffs]
+    amp = CycloElem(dim, values)
+    # to_json_dict writes only nonzero canonical amplitudes; any other
+    # vector the constructor would reduce, or drop as zero, unasked
+    if amp.coeffs != tuple(values) or not any(values):
+        raise ValueError(
+            f"state JSON field 'coeffs' holds {coeffs}, which is no nonzero "
+            f"amplitude reduced modulo Phi_{dim}"
+        )
+    return amp
 
 
 def _json_fraction(text, name: str) -> int | Fraction:

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import random
@@ -136,6 +137,46 @@ class TestConstruction:
         assert [type(v) for v in next(iter(st.terms))] == [int, int]
         text = json.dumps(st.to_json_dict())
         assert PureState.from_json_dict(json.loads(text)).terms == st.terms
+
+    @pytest.mark.parametrize(
+        "basis, amp, error, message",
+        [
+            ((2, True), None, ValueError, "basis value must be an integer, got True"),
+            ((2, 1.0), None, ValueError, "basis value must be an integer, got 1.0"),
+            ((2, 3), None, ValueError, "basis values out of range for dimension 3: (2, 3)"),
+            ((2, -1), None, ValueError, "basis values out of range for dimension 3: (2, -1)"),
+            ((2,), None, ValueError, "basis tuple (2,) does not match wires ('x', 'y')"),
+            (5, None, TypeError, "'int' object is not iterable"),
+            ("21", None, ValueError, "basis value must be an integer, got '2'"),
+            ((2, 2), CycloElem.one(2), ValueError,
+             "amplitude dimension 2 does not match state dimension 3"),
+            ((2, 2), 1, TypeError, "amplitude must be CycloElem, got int"),
+        ],
+        ids=[
+            "bool-value", "float-value", "value-too-large", "negative-value", "short-tuple",
+            "int-key", "str-key", "amplitude-dimension", "int-amplitude",
+        ],
+    )
+    def test_only_the_last_term_bad_raises_its_message(self, basis, amp, error, message):
+        # every term before the last is valid, so a check of the whole state
+        # must still reach the last one and name it
+        terms = {(j, (j + 1) % 3): zeta_pow(3, j) for j in range(3)}
+        terms[basis] = CycloElem.one(3) if amp is None else amp
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            PureState(3, ("x", "y"), 0, terms)
+
+    def test_numpy_values_in_the_last_term_are_stored_as_int(self):
+        terms = {(j, j): CycloElem.one(3) for j in range(2)}
+        terms[(np.int64(2), np.uint8(0))] = zeta_pow(3, 1)
+        st = PureState(3, ("x", "y"), 0, terms)
+        assert list(st.terms) == [(0, 0), (1, 1), (2, 0)]
+        assert {type(v) for basis in st.terms for v in basis} == {int}
+
+    def test_tuple_subclass_keys_are_stored_as_tuples(self):
+        Key = collections.namedtuple("Key", "x y")
+        st = PureState(3, ("x", "y"), 0, {(0, 0): CycloElem.one(3), Key(1, 2): zeta_pow(3, 1)})
+        assert [type(basis) for basis in st.terms] == [tuple, tuple]
+        assert st.terms == {(0, 0): CycloElem.one(3), (1, 2): zeta_pow(3, 1)}
 
     def test_numpy_dim_is_stored_as_int(self):
         st = bell_state(np.int64(3))
@@ -1429,12 +1470,16 @@ class TestSerialization:
             ({"terms": [{"basis": [1], "coeffs": ["1", "0", "0"], "scale": "1"}]}, "'scale'"),
             ({"terms": [{"basis": [1], "coeffs": ["1", "0"]}]}, "'coeffs'"),
             ({"terms": None}, "'terms'"),
+            # an int key and a str key do not sort against each other
+            ({1: "x", "scale_sq": "1"}, r"unknown field\(s\) 'scale_sq', 1$"),
+            ({"terms": [{"basis": [1], "coeffs": ["1", "0", "0"], 2: "x", "scale": "1"}]},
+             r"unknown field\(s\) 'scale', 2$"),
         ],
         ids=[
             "duplicate-basis", "bool-basis", "string-basis", "zero-denominator",
             "float-coeff", "bool-scale-exp", "string-scale-exp", "string-dim",
             "string-wires", "scale-sq-field", "unknown-term-field", "short-coeffs",
-            "missing-terms",
+            "missing-terms", "int-and-str-fields", "int-and-str-term-fields",
         ],
     )
     def test_malformed_json_raises_value_error(self, change, field):
@@ -1462,6 +1507,66 @@ class TestSerialization:
                          {"basis": [1], "coeffs": coeffs}]}
         with pytest.raises(ValueError, match=re.escape(f"'coeffs' holds {coeffs}")):
             PureState.from_json_dict(doc)
+
+    def test_each_term_gets_its_own_coeffs_list(self):
+        # every term of the Bell state holds the same amplitude
+        st = bell_state(3)
+        doc = st.to_json_dict()
+        doc["terms"][0]["coeffs"].append("7")
+        doc["terms"][0]["coeffs"][0] = "5"
+        assert [t["coeffs"] for t in doc["terms"][1:]] == [["1", "0", "0"]] * 2
+        assert st.to_json_dict() == bell_state(3).to_json_dict() == {
+            "dim": 3, "wires": ["a", "b"], "scale_exp": 1,
+            "terms": [{"basis": [j, j], "coeffs": ["1", "0", "0"]} for j in range(3)],
+        }
+
+    def test_unreduced_list_is_refused_after_an_equal_canonical_one(self):
+        # ["-1", "-1", "0"] is zeta**2 reduced; ["0", "0", "1"] is the same
+        # amplitude unreduced, which to_json_dict never writes
+        doc = {"dim": 3, "wires": ["k"], "scale_exp": 0,
+               "terms": [{"basis": [0], "coeffs": ["-1", "-1", "0"]},
+                         {"basis": [1], "coeffs": ["-1", "-1", "0"]},
+                         {"basis": [2], "coeffs": ["0", "0", "1"]}]}
+        with pytest.raises(ValueError, match=re.escape("'coeffs' holds ['0', '0', '1']")):
+            PureState.from_json_dict(doc)
+        del doc["terms"][2]
+        assert PureState.from_json_dict(doc).terms == {(0,): zeta_pow(3, 2), (1,): zeta_pow(3, 2)}
+
+    @pytest.mark.parametrize("coeff", ["01", "2/4"])
+    def test_non_round_tripping_string_is_refused_every_time(self, coeff):
+        # the value of each is also written validly ("1", "1/2") in an earlier term
+        valid = "1" if coeff == "01" else "1/2"
+        doc = {"dim": 3, "wires": ["k"], "scale_exp": 0,
+               "terms": [{"basis": [0], "coeffs": [valid, "0", "0"]},
+                         {"basis": [1], "coeffs": [coeff, "0", "0"]},
+                         {"basis": [2], "coeffs": [coeff, "0", "0"]}]}
+        for _ in range(2):
+            with pytest.raises(ValueError, match=rf"'coeffs' holds {re.escape(repr(coeff))}"):
+                PureState.from_json_dict(doc)
+        doc["terms"][1:] = [{"basis": [1], "coeffs": [valid, "0", "0"]}]
+        assert len(PureState.from_json_dict(doc).terms) == 2
+
+    def test_str_subclass_is_refused_after_an_equal_str(self):
+        class Text(str):
+            pass
+
+        doc = {"dim": 2, "wires": ["k"], "scale_exp": 0,
+               "terms": [{"basis": [0], "coeffs": ["1", "0"]},
+                         {"basis": [1], "coeffs": [Text("1"), "0"]}]}
+        with pytest.raises(ValueError, match=r"'coeffs' holds '1', which is no fraction string"):
+            PureState.from_json_dict(doc)
+
+    @pytest.mark.parametrize("dim", [3, 5, 6])
+    def test_repeated_fraction_amplitudes_round_trip_byte_identically(self, dim):
+        half, third = Fraction(1, 2), Fraction(-2, 3)
+        amps = [mono(dim, half), mono(dim, third, 1), mono(dim, half), mono(dim, 3, 1),
+                mono(dim, third, 1), mono(dim, half) + mono(dim, third, 1)]
+        st = PureState(dim, ("x", "y"), 2, {(j % dim, j // dim): a for j, a in enumerate(amps)})
+        text = json.dumps(st.to_json_dict())
+        clone = PureState.from_json_dict(json.loads(text))
+        assert clone.terms == st.terms
+        assert json.dumps(clone.to_json_dict()) == text
+        assert '"1/2"' in text and '"-2/3"' in text
 
     @pytest.mark.parametrize("dim", range(2, 10))
     def test_session_stage_states_reload_as_written(self, dim):
