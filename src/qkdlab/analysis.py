@@ -27,7 +27,7 @@ from .protocol import (
     SessionTranscript,
     _round,
     announce_subsequence,
-    check_attack_rounds,
+    check_rounds,
     make_rng,
     run_session,
 )
@@ -86,7 +86,7 @@ def exact_outcomes(dim: int, key, strategy: AdversaryStrategy | None) -> dict[tu
     """
     strategy = strategy if strategy is not None else AdversaryStrategy()
     config = ProtocolConfig(dim, len(key), key)
-    check_attack_rounds(strategy, config.num_rounds)
+    check_rounds(strategy.attack_rounds or (), config.num_rounds, "attack round")
     walk = [((), bell_state(config.dim), Fraction(1))]
     for index, key_dit in enumerate(config.key, start=1):
         walk = [

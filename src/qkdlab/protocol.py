@@ -232,17 +232,12 @@ def check_rounds(indices, num_rounds: int, name: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def check_attack_rounds(strategy: AdversaryStrategy, num_rounds: int) -> None:
-    """Refuse a strategy that names a round outside 1..num_rounds."""
-    check_rounds(strategy.attack_rounds or (), num_rounds, "attack round")
-
-
 def run_session(
     config: ProtocolConfig, adversary: AdversaryStrategy | None = None
 ) -> SessionTranscript:
     """Run all configured rounds from a fresh shared pair."""
     strategy = adversary if adversary is not None else AdversaryStrategy()
-    check_attack_rounds(strategy, config.num_rounds)
+    check_rounds(strategy.attack_rounds or (), config.num_rounds, "attack round")
     rng = make_rng(config.rng_seed)
     st = bell_state(config.dim)
     rounds = []

@@ -18,13 +18,11 @@ The gate groups the terms by their other wires, and a group's outputs
 depend only on (d, conjugate, members), where members is the tuple of
 the group's (transformed dit, amplitude coefficients) pairs.  Few such
 keys are distinct (442 among the 50,960 groups of 40 attacked d=7
-sessions), so _hadamard_group memoizes the per-group rows in a
-functools.lru_cache.  A hit is exact: equal keys are equal input rows
-(== and hash treat an int and its equal Fraction alike, and the
-CycloElem constructor brings both to one canonical tuple), and the
-cached CycloElems are immutable, so states share them.  The cache holds
-at most HADAMARD_GROUP_CACHE_SIZE keys, a constant; the least recently
-used go first.
+sessions), so the op memo keeps each group's outputs by that key.  A hit
+is exact: equal keys are equal input rows (== and hash treat an int and
+its equal Fraction alike, and the CycloElem constructor brings both to
+one canonical tuple), and the stored CycloElems are immutable, so states
+share them.
 
 A Fourier gate on a state the protocol has seen before is one dict
 lookup.  The protocol's states recur: honest rounds leave the Bell state
@@ -35,22 +33,25 @@ canonical state per content (dim, wires, scale_exp, basis tuples in
 term order, coefficient tuples); bell_state, basis_state and
 protocol._round, for the next shared state, go through it, so a
 recurring vector is one object, hashed once per round.  An interned
-state is stored: its _ops table maps ("hadamard", wire index, conjugate)
-to the gate's result, which is stored in turn, so a round's chain of
+state is stored: its _ops table maps (wire index, conjugate) to the
+gate's result, which is stored in turn, so a round's chain of
 basis-change gates is found by identity, with no key to hash and no
 copy.  conjugate is read as a bool before the lookup, and a state's own
 wires are part of what it is, so a hit returns exactly the state a
-fresh computation would give, in the same term order.  The
-other ops (the controlled shift, insert_wire, drop_wire, measurement)
-cost about one pass over the terms and are computed afresh: the memo
-does not keep their results.  States built by the public constructor,
-read by from_json_dict, or made by tensor or reorder_wires are never
-stored.  The gates the memo stores share their basis tuples through one
-table.  The memo counts the terms of its stored states, and when one
-more would take it past MEMO_TERMS, a constant, it empties every table
-together, so no entry outlives the state it names.  States share
-objects across sessions, so terms is read-only by contract: nothing
-outside the constructors writes to it.
+fresh computation would give, in the same term order.  The other ops
+(the controlled shift, insert_wire, drop_wire, measurement) cost about
+one pass over the terms and are computed afresh: the memo does not keep
+their results.  States built by the public constructor, read by
+from_json_dict, or made by tensor or reorder_wires are never stored.
+
+The memo has one bound and one rule for it.  It counts the terms of its
+stored states and group outputs, and when one more entry would take it
+past MEMO_TERMS, a constant, it empties every table together and then
+stores the entry, so no entry outlives the state it names; an entry
+larger than the whole bound is never stored.  A group lookup can empty
+it in the middle of a gate; the gate then keeps its result out of its
+input's dropped table.  States share objects across sessions, so terms
+is read-only by contract: nothing outside the constructors writes to it.
 
 Born weights (|amplitude|**2 summed over some terms) are in the state's
 stored units, without the factor d**-scale_exp: every probability is a
@@ -105,7 +106,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 
 from .ring import CycloElem, rational_value, signed_root_coeffs, sqrt_rational
@@ -118,18 +118,13 @@ BOB_WIRE: Wire = "b"
 TRANSIT_WIRE: Wire = "k"
 ANCILLA_WIRE: Wire = "e"
 
-#: Hadamard groups _hadamard_group keeps.  A 13-round attacked session makes 690
-#: distinct ones at d=13 and 2,140 at d=23; 2048 keeps full speed up to d=19, and
-#: at d=23 ru_maxrss of six sessions grows by 7 MB (47 -> 54), where 4096 adds 12
-HADAMARD_GROUP_CACHE_SIZE = 2048
-
-#: Terms the op memo holds over its stored states.  A 13-round attacked session keeps
-#: 1,855 at d=7, 53,567 at d=23 and 127,999 at d=31; 2,000 d=7 sessions with random
-#: keys keep 6,335
-MEMO_TERMS = 1 << 17
+#: Terms the op memo holds over its stored states and Hadamard groups.  A 13-round
+#: attacked session keeps 2,611 at d=7, 78,499 at d=23, 155,005 at d=29 and 188,635 at
+#: d=31, so 2**17 would empty it mid-session from d=29 on; 2,000 d=7 sessions with
+#: random keys keep 7,329
+MEMO_TERMS = 1 << 18
 
 
-@lru_cache(maxsize=HADAMARD_GROUP_CACHE_SIZE)
 def _hadamard_group(dim: int, conjugate: bool, members: tuple) -> tuple[tuple[int, CycloElem], ...]:
     """The nonzero (t, amplitude) outputs of one group of the generalized Hadamard.
 
@@ -154,51 +149,61 @@ def _hadamard_group(dim: int, conjugate: bool, members: tuple) -> tuple[tuple[in
 
 
 class _OpMemo:
-    """The op tables of stored states, the interned states and the shared basis tuples.
+    """The op tables of stored states, the interned states and the Hadamard groups.
 
-    A stored state's _ops maps an op key to the stored result.  terms
-    counts the terms of every stored state; when one more would take it
-    past budget, every table is emptied together, so no entry outlives
-    the state it names.  overflows counts those emptyings.
+    A stored state's _ops maps an op key to the stored result, and groups
+    maps (dim, conjugate, members) to _hadamard_group's outputs.  terms
+    counts the terms of every stored state and group output; when an
+    entry would take it past budget, every table is emptied together
+    first, so no entry outlives the state it names.  overflows counts
+    those emptyings.
     """
 
-    __slots__ = ("budget", "states", "interned", "bases", "terms", "overflows")
+    __slots__ = ("budget", "states", "interned", "groups", "terms", "overflows")
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
         self.states: list[PureState] = []
         self.interned: dict[tuple, PureState] = {}
-        self.bases: dict[BasisTuple, BasisTuple] = {}
+        self.groups: dict[tuple, tuple] = {}
         self.terms = 0
         self.overflows = 0
 
-    def admit(self, state: PureState, share: bool) -> bool:
-        """Store state, an unstored one, if its terms fit; share swaps in the shared basis tuples.
+    def _make_room(self, size: int) -> bool:
+        """Count an entry of size terms, emptying every table first when it does not fit.
 
-        When they do not fit, every table is emptied first and False
-        returned.  A state larger than the whole budget empties nothing:
-        it never fits.
+        An entry larger than the whole budget empties nothing and is not
+        counted: False, it is not to be stored.
         """
-        size = len(state.terms)
-        if self.terms + size > self.budget:
-            if size <= self.budget:
-                self.overflows += 1
-                self.clear()
+        if size > self.budget:
             return False
+        if self.terms + size > self.budget:
+            self.overflows += 1
+            self.clear()
         self.terms += size
-        if share:
-            known = self.bases.setdefault
-            state.terms = {known(b, b): a for b, a in state.terms.items()}
+        return True
+
+    def admit(self, state: PureState) -> bool:
+        """Store state, an unstored one, unless it is larger than the whole budget."""
+        if not self._make_room(len(state.terms)):
+            return False
         state._ops = {}
         self.states.append(state)
         return True
+
+    def add_group(self, key: tuple) -> tuple[tuple[int, CycloElem], ...]:
+        """_hadamard_group's outputs for key, (dim, conjugate, members), stored in groups."""
+        outputs = _hadamard_group(*key)
+        if self._make_room(len(outputs)):
+            self.groups[key] = outputs
+        return outputs
 
     def clear(self) -> None:
         for state in self.states:
             state._ops = None
         self.states.clear()
         self.interned.clear()
-        self.bases.clear()
+        self.groups.clear()
         self.terms = 0
 
 
@@ -337,11 +342,10 @@ class PureState:
         module docstring describes the op memo.
 
         Otherwise the terms are grouped by their other wires; each group's
-        nonzero outputs come from _hadamard_group, memoized on (d,
-        conjugate, members) with members the group's (j, coeffs) pairs in
-        term order.  Equal keys are equal input rows, so a hit returns
-        exactly the elements a fresh computation would; that cache keeps
-        at most HADAMARD_GROUP_CACHE_SIZE keys.  Each output goes under
+        nonzero outputs come from the op memo, kept under (d, conjugate,
+        members) with members the group's (j, coeffs) pairs in term order.
+        Equal keys are equal input rows, so a hit returns exactly the
+        elements a fresh computation would.  Each output goes under
         prefix + (t,) + suffix.  The global exponent rises by one; then,
         while it is at least 2 and every reduced coefficient is an int
         divisible by d, the amplitudes are divided by d and the exponent
@@ -350,7 +354,7 @@ class PureState:
         idx = self.wire_index(wire)
         # any true value is the conjugate gate, as it always was
         conjugate = bool(conjugate)
-        key = ("hadamard", idx, conjugate)
+        key = (idx, conjugate)
         ops = self._ops
         known = None if ops is None else ops.get(key)
         if known is not None:
@@ -359,9 +363,11 @@ class PureState:
         groups: dict[tuple[BasisTuple, BasisTuple], list] = {}
         for basis, amp in self.terms.items():
             groups.setdefault((basis[:idx], basis[idx + 1:]), []).append((basis[idx], amp.coeffs))
+        stored = _memo.groups.get
         terms: dict[BasisTuple, CycloElem] = {}
         for (prefix, suffix), members in groups.items():
-            for t, amp in _hadamard_group(dim, conjugate, tuple(members)):
+            group = (dim, conjugate, tuple(members))
+            for t, amp in stored(group) or _memo.add_group(group):
                 terms[prefix + (t,) + suffix] = amp
         scale_exp = self.scale_exp + 1
         # a coefficient that d divides is an int: a non-integer Fraction never is
@@ -371,8 +377,8 @@ class PureState:
             terms = {b: CycloElem(dim, [c // dim for c in amp.coeffs]) for b, amp in terms.items()}
             scale_exp -= 2
         result = PureState._derived(dim, self.wires, scale_exp, terms)
-        # admit empties every table, this state's too, when result does not fit
-        if ops is not None and _memo.admit(result, True):
+        # a group lookup or admit may have emptied the memo, and this state's table with it
+        if ops is not None and _memo.admit(result) and self._ops is ops:
             ops[key] = result
         return result
 
@@ -761,9 +767,7 @@ def intern(state: PureState) -> PureState:
     )
     canonical = _memo.interned.get(key)
     if canonical is None:
-        # a full memo empties itself and takes state on the second try; the
-        # key holds state's basis tuples, so they are not swapped for shared ones
-        if state._ops is None and not (_memo.admit(state, False) or _memo.admit(state, False)):
+        if state._ops is None and not _memo.admit(state):
             return state
         _memo.interned[key] = canonical = state
     return canonical

@@ -31,7 +31,6 @@ from qkdlab.protocol import (
     transcript_to_json_dict,
 )
 from qkdlab.register import (
-    HADAMARD_GROUP_CACHE_SIZE,
     MEMO_TERMS,
     DensityMatrixSlice,
     PureState,
@@ -39,7 +38,6 @@ from qkdlab.register import (
     bell_state,
     first_difference,
     intern,
-    _hadamard_group,
     _OpMemo,
     state_equals,
 )
@@ -259,7 +257,7 @@ class TestOpMemo:
         assert results[0] == results[1]
         # the stored state keeps one gate per validated flag
         assert len({id(warm.apply_hadamard("a", conjugate=c)) for c in flags}) == 2
-        assert set(warm._ops) == {("hadamard", 0, True), ("hadamard", 0, False)}
+        assert set(warm._ops) == {(0, True), (0, False)}
         assert cold._ops is None
 
     def test_sessions_share_stage_objects(self):
@@ -295,7 +293,7 @@ class TestOpMemo:
         for step in steps:
             first, second = step(), step()
             assert first is not second and first._ops is None
-        assert set(st._ops) == {("hadamard", 0, False)}
+        assert set(st._ops) == {(0, False)}
 
 
 class TestInsertWire:
@@ -470,30 +468,34 @@ class TestHadamard:
             for st in inputs:
                 for wire in wires:
                     for conjugate in (False, True):
+                        memo = register._memo
                         if mode == "cold":
-                            _hadamard_group.cache_clear()
-                            register._memo.clear()
+                            memo.clear()
                             st = intern(st)
                             assert st._ops == {}
                         elif mode == "group-warm":
                             st.apply_hadamard(wire, conjugate=conjugate)
-                            groups = _hadamard_group.cache_info()
                         else:
                             st = intern(st)
                             first = st.apply_hadamard(wire, conjugate=conjugate)
-                            groups = _hadamard_group.cache_info()
-                        got = st.apply_hadamard(wire, conjugate=conjugate)
+                        groups = dict(memo.groups)
+                        with mock.patch.object(
+                            register, "_hadamard_group", wraps=register._hadamard_group
+                        ) as computed:
+                            got = st.apply_hadamard(wire, conjugate=conjugate)
                         if mode == "cold":
-                            # the result is stored under the validated arguments
-                            assert st._ops[("hadamard", st.wire_index(wire), conjugate)] is got
+                            # the result is stored under the validated arguments,
+                            # and every group it computed is stored too
+                            assert st._ops[(st.wire_index(wire), conjugate)] is got
+                            assert computed.call_count == len(memo.groups) > 0
                         elif mode == "group-warm":
-                            after = _hadamard_group.cache_info()
-                            assert after.misses == groups.misses and after.hits > groups.hits
+                            # every group comes from the group table
+                            assert computed.call_count == 0 and memo.groups == groups
                             assert st._ops is None and got._ops is None
                         else:
                             # the stored state itself, with no group looked up
                             assert got is first and got._ops is not None
-                            assert _hadamard_group.cache_info() == groups
+                            assert computed.call_count == 0 and memo.groups == groups
                         want = reference_hadamard(st, wire, conjugate=conjugate)
                         assert got.to_json_dict() == want.to_json_dict()
                         folded += got.scale_exp < st.scale_exp + 1
@@ -504,17 +506,19 @@ class TestHadamard:
         # each with both phase signs: four keys, four different results
         members = ((0, (1, 0, 0)), (2, (0, 1, 0)))
         calls = [(dim, conjugate) for dim in (3, 5) for conjugate in (False, True)]
-        _hadamard_group.cache_clear()
-        results = [_hadamard_group(dim, conjugate, members) for dim, conjugate in calls]
-        assert _hadamard_group.cache_info().currsize == 4
+        memo = register._memo
+        memo.clear()
+        results = [memo.add_group((dim, conjugate, members)) for dim, conjugate in calls]
+        assert set(memo.groups) == {(dim, conjugate, members) for dim, conjugate in calls}
+        assert memo.terms == sum(map(len, results))
         assert len({tuple((t, amp.coeffs) for t, amp in r) for r in results}) == 4
         for (dim, conjugate), result in zip(calls, results):
             pad = (0,) * (dim - 3)
             st = PureState(dim, ("x",), 0, {(j,): CycloElem(dim, c + pad) for j, c in members})
             want = reference_hadamard(st, "x", conjugate=conjugate)
             assert {(t,): amp for t, amp in result} == want.terms
-            # a second call with the same key returns the same elements
-            assert _hadamard_group(dim, conjugate, members) is result
+            # a later lookup under the same key reads the stored elements
+            assert memo.groups[dim, conjugate, members] is result
 
     def test_gate_memo_keeps_dim_wire_conjugate_and_scale_apart(self):
         # the same basis values and coefficients (padded with zeros at d=5)
@@ -562,10 +566,14 @@ class TestHadamard:
         assert got[1].to_json_dict() == reference_hadamard(other, "e").to_json_dict()
 
     def test_memo_is_bounded(self):
-        info = _hadamard_group.cache_info()
-        assert info.maxsize is not None
-        assert info.maxsize == HADAMARD_GROUP_CACHE_SIZE
-        assert register._memo.budget == MEMO_TERMS
+        # one budget over every table: a group's outputs count toward it as
+        # a stored state's terms do
+        memo = register._memo
+        assert memo.budget == MEMO_TERMS
+        outputs = memo.add_group((3, False, ((0, (1, 0, 0)),)))
+        assert memo.terms == len(outputs) == 3
+        intern(PureState(3, ("x",), 0, {(0,): CycloElem.one(3), (1,): CycloElem.one(3)}))
+        assert memo.terms == 5 and len(memo.states) == 1
 
     def test_gate_memo_holds_at_most_its_budget(self):
         # a 13-round attacked session at d=11: the memo counts the terms of
@@ -577,10 +585,13 @@ class TestHadamard:
         memo = register._memo
         sizes = [len(st.terms) for st in memo.states]
         assert max(sizes) >= dim**3
-        assert memo.terms == sum(sizes) <= MEMO_TERMS
-        # the gates hold the shared table's basis tuples
+        # the group outputs count toward the same budget
+        groups = sum(map(len, memo.groups.values()))
+        assert groups > 0 and memo.overflows == 0
+        assert memo.terms == sum(sizes) + groups <= MEMO_TERMS
+        # every gate a stored state holds is stored in turn
         gates = [made for st in memo.states for made in st._ops.values()]
-        assert gates and all(memo.bases[b] is b for st in gates for b in st.terms)
+        assert gates and all(st._ops is not None for st in gates)
 
     def test_gate_memo_evicts_within_a_small_budget(self, monkeypatch):
         # with room for a few d=5 states only, the memo empties every table
@@ -598,12 +609,14 @@ class TestHadamard:
         def watched_clear(memo):
             emptied.append(list(memo.states))
             original_clear(memo)
-            assert not (memo.states or memo.interned or memo.bases or memo.terms)
+            assert not (memo.states or memo.interned or memo.groups or memo.terms)
 
         monkeypatch.setattr(_OpMemo, "clear", watched_clear)
         assert transcript_to_json_dict(run_session(config, GaoAttack())) == want
         assert small.overflows == len(emptied) > 0
         assert 0 < small.terms <= small.budget
+        # the group table fills again after each emptying, within the one budget
+        assert small.groups and small.terms >= sum(map(len, small.groups.values()))
         # no state keeps a table past an emptying that dropped it
         assert all(st._ops is None for states in emptied for st in states)
         # a state larger than the whole budget is never stored
@@ -612,6 +625,25 @@ class TestHadamard:
         held, overflows = small.terms, small.overflows
         assert intern(large) is large and large._ops is None
         assert (small.terms, small.overflows) == (held, overflows)
+
+    def test_group_lookup_may_empty_the_memo_inside_a_gate(self, monkeypatch):
+        # a stored 25-term state at d=5 in a memo with room for one group
+        # more: the gate's second group lookup empties every table, the
+        # input's too, and the gate must not write into that dropped table
+        dim = 5
+        terms = {(x, y): CycloElem(dim, (x + 1, y, 0, 0, 0)) for x in range(dim) for y in range(dim)}
+        small = _OpMemo(len(terms) + dim)
+        monkeypatch.setattr(register, "_memo", small)
+        st = intern(PureState(dim, ("x", "y"), 1, terms))
+        ops = st._ops
+        assert ops == {} and small.terms == len(terms)
+        got = st.apply_hadamard("x")
+        assert got.to_json_dict() == reference_hadamard(st, "x").to_json_dict()
+        assert small.overflows > 0
+        assert st._ops is None and ops == {}
+        # no state keeps an _ops table that the memo no longer holds
+        assert all(s._ops is None or any(s is held for held in small.states) for s in (st, got))
+        assert small.terms <= small.budget
 
     def test_gate_memo_never_empties_under_attacked_d7_traffic(self):
         # the design rests on this: 13-round d=7 gao sessions, one for every
@@ -640,7 +672,7 @@ class TestHadamard:
             key = tuple(int(x) for x in philox(rounds, stream=1).integers(0, 5, rounds))
             register._memo.clear()
             run_session(ProtocolConfig(5, rounds, key, rng_seed=rounds), GaoAttack())
-            gates.append(sum(op[0] == "hadamard" for st in register._memo.states for op in st._ops))
+            gates.append(sum(len(st._ops) for st in register._memo.states))
         assert gates[0] == gates[1]
 
     def test_gao_session_decodes_key_at_d11(self):
